@@ -75,14 +75,15 @@ class BasisSplit:
     offdiagonal: tuple[int, ...]
 
 
-def _check_dim(d: int) -> None:
+def check_dim(d: int) -> None:
+    """Reject local dimensions below 2."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
 
 
 def standard_basis(d: int) -> MatrixBasis:
     """Matrix units scaled to the dimension-d normalization: e_jk = sqrt(d) |j><k|."""
-    _check_dim(d)
+    check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     root = np.sqrt(d)
     for j in range(d):
@@ -101,7 +102,7 @@ def gellmann_basis(d: int) -> MatrixBasis:
     For d=2 this reproduces the Pauli matrices in the order
     (identity, sigma_x, sigma_y, sigma_z).
     """
-    _check_dim(d)
+    check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     el[0] = np.eye(d)
     half = np.sqrt(d / 2.0)
@@ -134,7 +135,7 @@ def weyl_basis(d: int) -> MatrixBasis:
     phase: (0,0) -> identity, (0,1) -> sigma_x, (1,0) -> sigma_z,
     (1,1) -> -i ZX = sigma_y.
     """
-    _check_dim(d)
+    check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     for j in range(d):
         for k in range(d):
@@ -145,6 +146,14 @@ def weyl_basis(d: int) -> MatrixBasis:
                 m[row, col] = np.exp(1j * np.pi * (2 * j * row - j * k) / d)
             el[j * d + k] = m
     return MatrixBasis(d, el, "weyl")
+
+
+NAMED_BASES = {
+    "standard": standard_basis,
+    "gellmann": gellmann_basis,
+    "weyl": weyl_basis,
+}
+"""The built-in constructions by the name used in basis files and on the command line."""
 
 
 def validate_basis(basis: MatrixBasis) -> IdentityReport:

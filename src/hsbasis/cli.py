@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .bases import MatrixBasis, gellmann_basis, standard_basis, weyl_basis
+from .bases import NAMED_BASES, MatrixBasis
 from .identities import DEFAULT_SEED, IdentityId, coerce_identity_id, run_catalogue
 from .maps import (
     Superoperator,
@@ -36,18 +36,12 @@ from .transforms import change_of_basis
 
 REPORT_SCHEMA = 1
 
-_NAMED_BASES = {
-    "standard": standard_basis,
-    "gellmann": gellmann_basis,
-    "weyl": weyl_basis,
-}
-
 
 def _resolve_basis(spec: str, dim: int | None) -> MatrixBasis:
-    if spec in _NAMED_BASES:
+    if spec in NAMED_BASES:
         if dim is None:
             raise ValueError(f"--dim is required with the built-in basis {spec!r}")
-        return _NAMED_BASES[spec](dim)
+        return NAMED_BASES[spec](dim)
     if spec.startswith("file:"):
         basis = fileio.load_basis(spec[len("file:") :])
         if dim is not None and basis.d != dim:
@@ -56,7 +50,7 @@ def _resolve_basis(spec: str, dim: int | None) -> MatrixBasis:
             )
         return basis
     raise ValueError(
-        f"unknown basis spec {spec!r}; use standard, gellmann, weyl, or file:<path>"
+        f"unknown basis spec {spec!r}; use {', '.join(NAMED_BASES)}, or file:<path>"
     )
 
 
@@ -74,7 +68,7 @@ def _machine_report(config: dict, report: IdentityReport) -> str:
             for c in report.checks
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _text_report(report: IdentityReport) -> str:
@@ -196,7 +190,7 @@ def _add_basis_args(parser, with_dim: bool = True) -> None:
     parser.add_argument(
         "--basis",
         default="gellmann",
-        help="basis spec: standard, gellmann, weyl, or file:<path>",
+        help=f"basis spec: {', '.join(NAMED_BASES)}, or file:<path>",
     )
 
 
@@ -264,11 +258,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except fileio.FormatError as exc:
-        sys.stderr.write(f"hsbasis: {exc}\n")
-        return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"hsbasis: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("hsbasis: out of memory\n")
         return 2
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bases import MatrixBasis
+from .bases import NAMED_BASES, MatrixBasis
 
 __all__ = [
     "FormatError",
@@ -70,7 +70,14 @@ def matrix_from_dict(obj) -> np.ndarray:
             raise FormatError(
                 f'field "entries"[{i}] must be a [re, im] pair of numbers, got {pair!r}'
             )
-        values[i] = complex(pair[0], pair[1])
+        try:
+            values[i] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the double range
+            values[i] = np.inf
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f'field "entries"[{i}] must be finite, got {entries[i]!r}')
     return values.reshape(rows, cols)
 
 
@@ -82,8 +89,12 @@ def _read_json(path) -> object:
         raise FormatError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
 
 
+def _write_json(obj, path) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+
+
 def save_matrix(m: np.ndarray, path) -> None:
-    Path(path).write_text(json.dumps(matrix_to_dict(m), indent=2) + "\n", encoding="utf-8")
+    _write_json(matrix_to_dict(m), path)
 
 
 def load_matrix(path) -> np.ndarray:
@@ -133,11 +144,11 @@ def basis_from_dict(obj) -> MatrixBasis:
                 f'field "elements"[{i}] must be a {d}x{d} matrix, got {m.shape[0]}x{m.shape[1]}'
             )
         stack[i] = m
-    return MatrixBasis(d, stack, kind if kind in ("standard", "gellmann", "weyl") else "custom")
+    return MatrixBasis(d, stack, kind if kind in NAMED_BASES else "custom")
 
 
 def save_basis(basis: MatrixBasis, path) -> None:
-    Path(path).write_text(json.dumps(basis_to_dict(basis), indent=2) + "\n", encoding="utf-8")
+    _write_json(basis_to_dict(basis), path)
 
 
 def load_basis(path) -> MatrixBasis:

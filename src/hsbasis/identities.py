@@ -3,44 +3,35 @@
 Every entry evaluates both sides of one equality for a concrete basis
 {g_jk} (normalized to Tr(g^dag g) = d) and reports the Frobenius-norm
 residual, or the absolute difference for scalar equalities. The
-catalogue is closed; the tags are:
+catalogue is closed: :data:`_CATALOGUE` is the one table of ids,
+formulas, residuals and tolerance kinds.
 
-  two-factor sums
-    SWAP_EXPANSION       SWAP == (1/d) sum g (x) g^dag
-    GG_DAGGER_SUM        sum g g^dag == d^2 1
-    TRACE_WEIGHTED_SUM   sum Tr(g) g^dag == d 1
-    TRACE_NORM_SUM       sum |Tr g|^2 == d^2
-    BELL_EXPANSION       |Phi+><Phi+| == (1/d^2) sum g (x) g^*
-    GG_CONJ_SUM          sum g g^* == d 1
-    TRACE_WEIGHTED_CONJ  sum Tr(g) g^* == d 1
-
-  four-factor sums over pairs (a,b), (j,k)
-    IDENTITY_4OP_TENSOR  1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag
-    FOUROPS_1            sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1
-    FOUROPS_2            sum g_ab g_jk g_ab^* g_jk^* == d^3 1
-    FOUROPS_3            sum g_ab g_jk^* g_ab^dag g_jk == d^2 1
-    BELLBELL_TENSOR      |Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*
-    SWAPBELL_TENSOR      |Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk
-    TR1_BELLBELL         sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1
-    TR12_BELLBELL        sum |Tr(g_ab g_jk)|^2 == d^4
-
-  seeded random-operator checks
-    TRSWAP_CHOI          Tr_2(A (x) B SWAP) == A B
-    PURITY_LINK          Tr(B^dag (x) B SWAP) == (1/d) sum |b_jk|^2 == Tr(B^dag B)
-
-Four-factor sums are evaluated from cached pairwise products, costing
-O(d^7) scalar operations instead of the naive O(d^8).
+Costs for d x d elements: the two-factor sums take O(d^5) and the two
+expansions O(d^6). The four-factor sums build stacks of the d^4
+pairwise products in O(d^7) (16 d^6 bytes per stack); the two-party
+Kronecker sums over them are inherently O(d^8), d^4 pairs times d^4
+entries, evaluated as one matrix product by :func:`hsbasis.linalg.kron_sum`.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Iterable
 
 import numpy as np
 
 from .bases import MatrixBasis
-from .linalg import dagger, frob_norm, partial_trace, scalar_tolerance, tensor, tolerance
+from .linalg import (
+    dagger,
+    frob_norm,
+    kron_sum,
+    partial_trace,
+    scalar_tolerance,
+    tensor,
+    tolerance,
+)
+from .maps import bloch_decompose
 from .operators import bell_expansion, bell_projector, swap_expansion, swap_operator
 from .report import IdentityCheck, IdentityReport
 
@@ -71,227 +62,154 @@ class IdentityId(enum.Enum):
     PURITY_LINK = "purity_link"
 
 
-def _pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P[a,b] = x[a] @ y[b] for stacks of matrices; cached once per checker."""
-    return np.einsum("aij,bjk->abik", x, y)
+def _traces(p: np.ndarray) -> np.ndarray:
+    return np.einsum("...ii->...", p)
 
 
-def _kron_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_ab left[a,b] (x) right[a,b] under the row-major composite index."""
-    d = left.shape[-1]
-    return np.einsum("abij,abkl->ikjl", left, right).reshape(d * d, d * d)
+class _Operands:
+    """What the catalogue entries share, derived once per check."""
+
+    def __init__(self, basis: MatrixBasis, rng: np.random.Generator) -> None:
+        self.basis = basis
+        self.d = basis.d
+        self.g = basis.elements
+        self.gc = self.g.conj()
+        self.gd = dagger(self.g)
+        self.tr = _traces(self.g)
+        self.rng = rng
+
+    def random(self) -> np.ndarray:
+        """A d x d complex Gaussian matrix drawn from the check's generator."""
+        shape = (self.d, self.d)
+        return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
 
 
-def _check_swap_expansion(basis, rng):
-    lhs = swap_expansion(basis)
-    rhs = swap_operator(basis.d)
-    return "SWAP == (1/d) sum g (x) g^dag", frob_norm(lhs - rhs), tolerance(basis.d)
+def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P[a,b] = x[a] y[b] for two stacks of matrices."""
+    return x[:, None] @ y[None, :]
 
 
-def _check_gg_dagger_sum(basis, rng):
-    g = basis.elements
-    gd = g.conj().transpose(0, 2, 1)
-    lhs = np.einsum("nij,njk->ik", g, gd)
-    rhs = basis.d**2 * np.eye(basis.d)
-    return "sum g g^dag == d^2 1", frob_norm(lhs - rhs), tolerance(basis.d)
+def _product_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n x_n y_n over stacks of d x d matrices, without a copy of either stack."""
+    d = x.shape[-1]
+    return np.einsum("nij,njk->ik", x.reshape(-1, d, d), y.reshape(-1, d, d))
 
 
-def _check_trace_weighted_sum(basis, rng):
-    g = basis.elements
-    tr = np.einsum("nii->n", g)
-    lhs = np.einsum("n,nji->ij", tr, g.conj())  # conj transpose of each element
-    rhs = basis.d * np.eye(basis.d)
-    return "sum Tr(g) g^dag == d 1", frob_norm(lhs - rhs), tolerance(basis.d)
+def _distance(lhs, rhs) -> float:
+    """Frobenius distance; a number on the right of a matrix means that multiple of 1."""
+    if np.ndim(lhs) == 2 and np.ndim(rhs) == 0:
+        rhs = rhs * np.eye(len(lhs))
+    return frob_norm(np.subtract(lhs, rhs))
 
 
-def _check_trace_norm_sum(basis, rng):
-    tr = np.einsum("nii->n", basis.elements)
-    lhs = float(np.sum(np.abs(tr) ** 2))
-    return "sum |Tr g|^2 == d^2", abs(lhs - basis.d**2), scalar_tolerance(basis.d)
+def _trswap_choi(a: np.ndarray, b: np.ndarray) -> float:
+    d = len(a)
+    return _distance(partial_trace(tensor(a, b) @ swap_operator(d), 2, d), a @ b)
 
 
-def _check_bell_expansion(basis, rng):
-    lhs = bell_expansion(basis)
-    rhs = bell_projector(basis.d)
-    return (
-        "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        frob_norm(lhs - rhs),
-        tolerance(basis.d),
-    )
-
-
-def _check_gg_conj_sum(basis, rng):
-    g = basis.elements
-    lhs = np.einsum("nij,njk->ik", g, g.conj())
-    rhs = basis.d * np.eye(basis.d)
-    return "sum g g^* == d 1", frob_norm(lhs - rhs), tolerance(basis.d)
-
-
-def _check_trace_weighted_conj(basis, rng):
-    g = basis.elements
-    tr = np.einsum("nii->n", g)
-    lhs = np.einsum("n,nij->ij", tr, g.conj())
-    rhs = basis.d * np.eye(basis.d)
-    return "sum Tr(g) g^* == d 1", frob_norm(lhs - rhs), tolerance(basis.d)
-
-
-def _check_identity_4op_tensor(basis, rng):
-    d = basis.d
-    g = basis.elements
-    gd = g.conj().transpose(0, 2, 1)
-    left = _pair_products(gd, g)  # g_ab^dag g_jk
-    right = _pair_products(g, gd)  # g_ab g_jk^dag
-    lhs = _kron_sum(left, right) / d**2
-    rhs = np.eye(d * d)
-    return (
-        "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_fourops_1(basis, rng):
-    d = basis.d
-    g = basis.elements
-    gd = g.conj().transpose(0, 2, 1)
-    left = _pair_products(gd, g)
-    right = _pair_products(g, gd)
-    lhs = np.einsum("abij,abjk->ik", left, right)
-    rhs = d**2 * np.eye(d)
-    return (
-        "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_fourops_2(basis, rng):
-    d = basis.d
-    p = _pair_products(basis.elements, basis.elements)  # g_ab g_jk
-    lhs = np.einsum("abij,abjk->ik", p, p.conj())
-    rhs = d**3 * np.eye(d)
-    return (
-        "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_fourops_3(basis, rng):
-    d = basis.d
-    g = basis.elements
-    gd = g.conj().transpose(0, 2, 1)
-    left = _pair_products(g, g.conj())  # g_ab g_jk^*
-    right = _pair_products(gd, g)  # g_ab^dag g_jk
-    lhs = np.einsum("abij,abjk->ik", left, right)
-    rhs = d**2 * np.eye(d)
-    return (
-        "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_bellbell_tensor(basis, rng):
-    d = basis.d
-    p = _pair_products(basis.elements, basis.elements)
-    lhs = _kron_sum(p, p.conj()) / d**4
-    rhs = bell_projector(d)
-    return (
-        "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_swapbell_tensor(basis, rng):
-    d = basis.d
-    g = basis.elements
-    gd = g.conj().transpose(0, 2, 1)
-    left = _pair_products(g, g.conj())
-    right = _pair_products(gd, g)
-    lhs = _kron_sum(left, right) / d**3
-    rhs = bell_projector(d)
-    return (
-        "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_tr1_bellbell(basis, rng):
-    d = basis.d
-    p = _pair_products(basis.elements, basis.elements)
-    tr = np.einsum("abii->ab", p)
-    lhs = np.einsum("ab,abij->ij", tr, p.conj())
-    rhs = d**3 * np.eye(d)
-    return (
-        "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_tr12_bellbell(basis, rng):
-    d = basis.d
-    p = _pair_products(basis.elements, basis.elements)
-    tr = np.einsum("abii->ab", p)
-    lhs = float(np.sum(np.abs(tr) ** 2))
-    return "sum |Tr(g_ab g_jk)|^2 == d^4", abs(lhs - float(d) ** 4), scalar_tolerance(d)
-
-
-def _random_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def _check_trswap_choi(basis, rng):
-    d = basis.d
-    a = _random_matrix(d, rng)
-    b = _random_matrix(d, rng)
-    lhs = partial_trace(tensor(a, b) @ swap_operator(d), 2, d)
-    rhs = a @ b
-    return (
-        "Tr_2(A (x) B SWAP) == A B for random A, B",
-        frob_norm(lhs - rhs),
-        tolerance(d),
-    )
-
-
-def _check_purity_link(basis, rng):
-    d = basis.d
-    b = _random_matrix(d, rng)
-    via_swap = complex(np.trace(tensor(dagger(b), b) @ swap_operator(d)))
-    bloch = np.einsum("nij,ij->n", basis.elements.conj(), b)
-    via_bloch = float(np.sum(np.abs(bloch) ** 2)) / d
+def _purity_link(b: np.ndarray, basis: MatrixBasis) -> float:
+    via_swap = complex(np.trace(tensor(dagger(b), b) @ swap_operator(basis.d)))
+    via_bloch = bloch_decompose(b, basis).squared_length
     purity = float(np.vdot(b, b).real)
-    residual = max(
-        abs(via_swap - via_bloch), abs(via_bloch - purity), abs(via_swap - purity)
-    )
-    return (
+    return max(abs(x - y) for x, y in itertools.combinations((via_swap, via_bloch, purity), 2))
+
+
+# id -> (description, residual, tolerance kind)
+_CATALOGUE = {
+    # two-factor sums
+    IdentityId.SWAP_EXPANSION: (
+        "SWAP == (1/d) sum g (x) g^dag",
+        lambda s: _distance(swap_expansion(s.basis), swap_operator(s.d)),
+        tolerance,
+    ),
+    IdentityId.GG_DAGGER_SUM: (
+        "sum g g^dag == d^2 1",
+        lambda s: _distance(_product_sum(s.g, s.gd), s.d**2),
+        tolerance,
+    ),
+    IdentityId.TRACE_WEIGHTED_SUM: (
+        "sum Tr(g) g^dag == d 1",
+        lambda s: _distance(np.einsum("n,nij->ij", s.tr, s.gd), s.d),
+        tolerance,
+    ),
+    IdentityId.TRACE_NORM_SUM: (
+        "sum |Tr g|^2 == d^2",
+        lambda s: _distance(np.sum(np.abs(s.tr) ** 2), s.d**2),
+        scalar_tolerance,
+    ),
+    IdentityId.BELL_EXPANSION: (
+        "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
+        lambda s: _distance(bell_expansion(s.basis), bell_projector(s.d)),
+        tolerance,
+    ),
+    IdentityId.GG_CONJ_SUM: (
+        "sum g g^* == d 1",
+        lambda s: _distance(_product_sum(s.g, s.gc), s.d),
+        tolerance,
+    ),
+    IdentityId.TRACE_WEIGHTED_CONJ: (
+        "sum Tr(g) g^* == d 1",
+        lambda s: _distance(np.einsum("n,nij->ij", s.tr, s.gc), s.d),
+        tolerance,
+    ),
+    # four-factor sums over pairs (a,b), (j,k)
+    IdentityId.IDENTITY_4OP_TENSOR: (
+        "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
+        lambda s: _distance(kron_sum(_pairs(s.gd, s.g), _pairs(s.g, s.gd)) / s.d**2, 1),
+        tolerance,
+    ),
+    IdentityId.FOUROPS_1: (
+        "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
+        lambda s: _distance(_product_sum(_pairs(s.gd, s.g), _pairs(s.g, s.gd)), s.d**2),
+        tolerance,
+    ),
+    IdentityId.FOUROPS_2: (
+        "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
+        lambda s: _distance(_product_sum(_pairs(s.g, s.g), _pairs(s.gc, s.gc)), s.d**3),
+        tolerance,
+    ),
+    IdentityId.FOUROPS_3: (
+        "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
+        lambda s: _distance(_product_sum(_pairs(s.g, s.gc), _pairs(s.gd, s.g)), s.d**2),
+        tolerance,
+    ),
+    IdentityId.BELLBELL_TENSOR: (
+        "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
+        lambda s: _distance(
+            kron_sum(_pairs(s.g, s.g), _pairs(s.gc, s.gc)) / s.d**4, bell_projector(s.d)
+        ),
+        tolerance,
+    ),
+    IdentityId.SWAPBELL_TENSOR: (
+        "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
+        lambda s: _distance(
+            kron_sum(_pairs(s.g, s.gc), _pairs(s.gd, s.g)) / s.d**3, bell_projector(s.d)
+        ),
+        tolerance,
+    ),
+    IdentityId.TR1_BELLBELL: (
+        "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
+        lambda s: _distance(
+            np.einsum("ab,abij->ij", _traces(_pairs(s.g, s.g)), _pairs(s.gc, s.gc)), s.d**3
+        ),
+        tolerance,
+    ),
+    IdentityId.TR12_BELLBELL: (
+        "sum |Tr(g_ab g_jk)|^2 == d^4",
+        lambda s: _distance(np.sum(np.abs(_traces(_pairs(s.g, s.g))) ** 2), float(s.d) ** 4),
+        scalar_tolerance,
+    ),
+    # seeded random-operator checks
+    IdentityId.TRSWAP_CHOI: (
+        "Tr_2(A (x) B SWAP) == A B for random A, B",
+        lambda s: _trswap_choi(s.random(), s.random()),
+        tolerance,
+    ),
+    IdentityId.PURITY_LINK: (
         "Tr(B^dag (x) B SWAP) == (1/d) sum |b_jk|^2 == Tr(B^dag B)",
-        float(residual),
-        scalar_tolerance(d),
-    )
-
-
-_CHECKERS = {
-    IdentityId.SWAP_EXPANSION: _check_swap_expansion,
-    IdentityId.GG_DAGGER_SUM: _check_gg_dagger_sum,
-    IdentityId.TRACE_WEIGHTED_SUM: _check_trace_weighted_sum,
-    IdentityId.TRACE_NORM_SUM: _check_trace_norm_sum,
-    IdentityId.BELL_EXPANSION: _check_bell_expansion,
-    IdentityId.GG_CONJ_SUM: _check_gg_conj_sum,
-    IdentityId.TRACE_WEIGHTED_CONJ: _check_trace_weighted_conj,
-    IdentityId.IDENTITY_4OP_TENSOR: _check_identity_4op_tensor,
-    IdentityId.FOUROPS_1: _check_fourops_1,
-    IdentityId.FOUROPS_2: _check_fourops_2,
-    IdentityId.FOUROPS_3: _check_fourops_3,
-    IdentityId.BELLBELL_TENSOR: _check_bellbell_tensor,
-    IdentityId.SWAPBELL_TENSOR: _check_swapbell_tensor,
-    IdentityId.TR1_BELLBELL: _check_tr1_bellbell,
-    IdentityId.TR12_BELLBELL: _check_tr12_bellbell,
-    IdentityId.TRSWAP_CHOI: _check_trswap_choi,
-    IdentityId.PURITY_LINK: _check_purity_link,
+        lambda s: _purity_link(s.random(), s.basis),
+        scalar_tolerance,
+    ),
 }
 
 
@@ -315,13 +233,14 @@ def check_identity(
     (TRSWAP_CHOI, PURITY_LINK); results are deterministic given the seed.
     """
     identity = coerce_identity_id(identity)
-    rng = np.random.default_rng(seed)
-    description, residual, tol = _CHECKERS[identity](basis, rng)
+    description, residual_of, tolerance_of = _CATALOGUE[identity]
+    residual = float(residual_of(_Operands(basis, np.random.default_rng(seed))))
+    tol = float(tolerance_of(basis.d))
     return IdentityCheck(
         id=identity.value,
         description=description,
-        residual=float(residual),
-        tolerance=float(tol),
+        residual=residual,
+        tolerance=tol,
         passed=residual <= tol,
     )
 

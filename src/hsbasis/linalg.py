@@ -24,6 +24,8 @@ __all__ = [
     "reshuffle",
     "vectorize",
     "devectorize",
+    "basis_sum",
+    "kron_sum",
 ]
 
 
@@ -42,8 +44,8 @@ def scalar_tolerance(d: int) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint A^dag."""
-    return np.asarray(a).conj().T
+    """Hermitian adjoint A^dag, taken matrix by matrix for a stack."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def frob_norm(a: np.ndarray) -> float:
@@ -131,3 +133,24 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise ValueError(f"vector of length {v.size} is not a flattened square matrix")
     return v.reshape(d, d).copy()
+
+
+def basis_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n vec(x_n) vec(y_n)^T for equally long stacks of d x d matrices.
+
+    Leading axes are flattened into the summation index n, so the sum is
+    a single d^2 x n by n x d^2 matrix product. Read as a (d, d, d, d)
+    tensor it is T[i,j,k,l] = sum_n x_n[i,j] y_n[k,l].
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    d = x.shape[-1]
+    return x.reshape(-1, d * d).T @ y.reshape(-1, d * d)
+
+
+def kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n x_n (x) y_n under the row-major composite index.
+
+    The reshuffle of :func:`basis_sum`, so it costs one matrix product.
+    """
+    return reshuffle(basis_sum(x, y), np.shape(x)[-1])

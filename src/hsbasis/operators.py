@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import BasisSplit, MatrixBasis, split_diag_offdiag
+from .bases import BasisSplit, MatrixBasis, check_dim, split_diag_offdiag
+from .linalg import dagger, kron_sum
 from .transforms import to_standard
 
 __all__ = [
@@ -31,17 +32,12 @@ __all__ = [
 ]
 
 
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-
-
 def swap_operator(d: int) -> np.ndarray:
     """The d^2 x d^2 permutation exchanging the two tensor factors.
 
     Entry ((j,k),(l,m)) = delta_jm delta_kl; Hermitian and involutive.
     """
-    _check_dim(d)
+    check_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         for k in range(d):
@@ -51,11 +47,8 @@ def swap_operator(d: int) -> np.ndarray:
 
 def swap_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_jk g_jk (x) g_jk^dag, the basis-diagonal form of SWAP."""
-    d = basis.d
     g = basis.elements
-    gd = g.conj().transpose(0, 2, 1)
-    out = np.einsum("nij,nkl->ikjl", g, gd).reshape(d * d, d * d)
-    return out / d
+    return kron_sum(g, dagger(g)) / basis.d
 
 
 def swap_diag_expansion(basis: MatrixBasis, split: BasisSplit | None = None) -> np.ndarray:
@@ -68,16 +61,13 @@ def swap_diag_expansion(basis: MatrixBasis, split: BasisSplit | None = None) -> 
         split = split_diag_offdiag(basis)
     if split is None:
         raise ValueError("basis has no diagonal/off-diagonal split")
-    d = basis.d
     g = basis.elements[list(split.diagonal)]
-    gd = g.conj().transpose(0, 2, 1)
-    out = np.einsum("nij,nkl->ikjl", g, gd).reshape(d * d, d * d)
-    return out / d
+    return kron_sum(g, dagger(g)) / basis.d
 
 
 def bell_state(d: int) -> np.ndarray:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> as a length-d^2 vector."""
-    _check_dim(d)
+    check_dim(d)
     v = np.zeros(d * d, dtype=complex)
     for j in range(d):
         v[j * d + j] = 1.0
@@ -90,7 +80,7 @@ def bell_projector(d: int) -> np.ndarray:
     Entries are written as 1/d directly rather than (1/sqrt(d))^2, so the
     exact relation SWAP^T2 = d |Phi+><Phi+| holds entrywise in floats.
     """
-    _check_dim(d)
+    check_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         for k in range(d):
@@ -100,15 +90,13 @@ def bell_projector(d: int) -> np.ndarray:
 
 def bell_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk g_jk (x) g_jk^*, the basis-diagonal form of |Phi+><Phi+|."""
-    d = basis.d
     g = basis.elements
-    out = np.einsum("nij,nkl->ikjl", g, g.conj()).reshape(d * d, d * d)
-    return out / (d * d)
+    return kron_sum(g, g.conj()) / basis.d**2
 
 
 def coherent_state(d: int) -> np.ndarray:
     """The fully coherent state (1/sqrt(d)) sum_j |j> as a length-d vector."""
-    _check_dim(d)
+    check_dim(d)
     return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
 
 

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 
+from hsbasis import cli
 from hsbasis.bases import MatrixBasis, gellmann_basis
 from hsbasis.cli import main
-from hsbasis.fileio import load_matrix, save_basis, save_matrix
+from hsbasis.fileio import basis_to_dict, load_matrix, save_basis, save_matrix
 from hsbasis.identities import IdentityId
 from hsbasis.operators import bell_projector, bell_state, swap_operator
 
@@ -215,6 +216,25 @@ class TestErrorPaths:
         )
         assert code == 2
         assert '"entries"' in capsys.readouterr().err
+
+    def test_non_finite_basis_file_exits_2(self, tmp_path, capsys):
+        doc = basis_to_dict(gellmann_basis(2))
+        doc["elements"][1]["entries"][2][0] = float("nan")
+        path = tmp_path / "nanbasis.json"
+        path.write_text(json.dumps(doc))
+        code = run("verify", "--dim", "2", "--basis", f"file:{path}", "--report", "machine")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert '"elements"[1]: field "entries"[2] must be finite' in captured.err
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_verify", exhausted)
+        assert run("verify", "--dim", "2") == 2
+        assert "out of memory" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         code = run("concurrence", "--state", str(tmp_path / "nope.json"))

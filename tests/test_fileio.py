@@ -44,6 +44,24 @@ class TestMatrixFormat:
         with pytest.raises(FormatError, match=r'"entries"\[0\]'):
             matrix_from_dict({"rows": 1, "cols": 1, "entries": [["a", 0.0]]})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_entry(self, value):
+        entries = [[1.0, 0.0], [0.0, value]]
+        with pytest.raises(FormatError, match=r'"entries"\[1\] must be finite'):
+            matrix_from_dict({"rows": 1, "cols": 2, "entries": entries})
+
+    def test_non_finite_json_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"rows": 1, "cols": 1, "entries": [[NaN, 0.0]]}')
+        with pytest.raises(FormatError, match=r'"entries"\[0\] must be finite'):
+            load_matrix(path)
+
+    def test_non_finite_matrix_is_not_written(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            save_matrix(np.array([[np.nan]]), path)
+        assert not path.exists()
+
     def test_bad_dimensions(self):
         with pytest.raises(FormatError, match='"rows"'):
             matrix_from_dict({"rows": 0, "cols": 2, "entries": []})

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hsbasis.linalg import (
+    basis_sum,
     devectorize,
     hs_inner,
+    kron_sum,
     partial_trace,
     partial_transpose,
     reshuffle,
@@ -202,3 +204,22 @@ class TestVectorize:
             devectorize(np.ones(5))
         with pytest.raises(ValueError, match="square"):
             vectorize(np.ones((2, 3)))
+
+
+class TestBasisSumKernel:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("count", ["one", "y_elements", "full"])
+    def test_against_summed_kron_loops(self, d, count):
+        n = {"one": 1, "y_elements": d * (d - 1) // 2, "full": d * d}[count]
+        rng = np.random.default_rng(40 + d)
+        x = np.stack([oracles.random_matrix(d, rng) for _ in range(n)])
+        y = np.stack([oracles.random_matrix(d, rng) for _ in range(n)])
+        expected = sum(oracles.kron_loops(a, b) for a, b in zip(x, y))
+        assert np.allclose(kron_sum(x, y), expected, atol=1e-12)
+        assert np.allclose(basis_sum(x, y), oracles.reshuffle_loops(expected, d), atol=1e-12)
+
+    def test_leading_axes_are_summed(self):
+        rng = np.random.default_rng(44)
+        x = oracles.random_matrix(3, rng).reshape(1, 1, 3, 3) * np.ones((2, 4, 1, 1))
+        y = oracles.random_matrix(3, rng).reshape(1, 1, 3, 3) * np.ones((2, 4, 1, 1))
+        assert np.allclose(kron_sum(x, y), 8 * oracles.kron_loops(x[0, 0], y[0, 0]), atol=1e-12)

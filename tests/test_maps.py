@@ -194,19 +194,37 @@ class TestReshuffleMap:
         assert np.linalg.norm(out - reshuffle(m, d)) <= tolerance(d)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_map_expansions_basis_independent(d):
     rng = np.random.default_rng(900 + d)
     single = oracles.random_matrix(d, rng)
     double = oracles.random_matrix(d * d, rng)
+    superop = Superoperator(d, oracles.random_matrix(d * d, rng))
     for b in all_bases(d, 900 + d):
         assert np.linalg.norm(trace_map(single, b) - np.trace(single) * np.eye(d)) <= tolerance(d)
         assert np.linalg.norm(transpose_map(single, b) - single.T) <= tolerance(d)
         assert np.linalg.norm(identity_map(single, b) - single) <= tolerance(d) * d
+        for party in (1, 2):
+            assert np.linalg.norm(
+                partial_transpose_map(double, party, b)
+                - oracles.partial_transpose_loops(double, party, d)
+            ) <= tolerance(d)
         assert np.linalg.norm(
-            partial_transpose_map(double, 2, b) - partial_transpose(double, 2, d)
+            reshuffle_map(double, b) - oracles.reshuffle_loops(double, d)
         ) <= tolerance(d)
-        assert np.linalg.norm(reshuffle_map(double, b) - reshuffle(double, d)) <= tolerance(d)
+        # C_L[(a,j),(b,l)] = (1/d) L(|j><l|)[a,b]: the reshuffled superoperator matrix
+        assert np.linalg.norm(
+            choi_state(superop, b).matrix - oracles.reshuffle_loops(superop.matrix, d) / d
+        ) <= tolerance(d)
+    herm = oracles.random_hermitian(d * d, rng)
+    eye = np.eye(d)
+    closed_form = (
+        np.trace(herm) * np.eye(d * d)
+        - oracles.kron_loops(oracles.partial_trace_loops(herm, 2, d), eye)
+        - oracles.kron_loops(eye, oracles.partial_trace_loops(herm, 1, d))
+        + herm
+    )
+    assert np.linalg.norm(state_inversion_two(herm) - closed_form) <= tolerance(d * d)
 
 
 class TestSuperoperators:
