@@ -6,11 +6,18 @@ residual, or the absolute difference for scalar equalities. The
 catalogue is closed: :data:`_CATALOGUE` is the one table of ids,
 formulas, residuals and tolerance kinds.
 
-Costs for d x d elements: the two-factor sums take O(d^5) and the two
-expansions O(d^6). The four-factor sums build stacks of the d^4
-pairwise products in O(d^7) (16 d^6 bytes per stack); the two-party
-Kronecker sums over them are inherently O(d^8), d^4 pairs times d^4
-entries, evaluated as one matrix product by :func:`hsbasis.linalg.kron_sum`.
+Costs for d x d elements: every entry is O(d^6) or less, and no stack
+longer than the d^2 basis elements is built. The two-factor sums take
+O(d^5) and the two expansions O(d^6). The four-factor sums run over
+the d^4 pairs (m, n) of elements but factor through the mixed-product
+rule (A (x) B)(C (x) D) = AC (x) BD into sums over single elements:
+
+- sum_mn x_m y_n (x) z_m w_n = (sum_m x_m (x) z_m)(sum_n y_n (x) w_n), a
+  product of two :func:`hsbasis.linalg.kron_sum` results, O(d^6);
+- sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with the superoperator
+  S(Y) = sum_m x_m Y z_m, built and applied to the y stack in O(d^6);
+- the trace-weighted sums go through M[m,n] = Tr(g_m g_n), one
+  d^2 x d^2 matrix product, O(d^6).
 """
 
 from __future__ import annotations
@@ -62,10 +69,6 @@ class IdentityId(enum.Enum):
     PURITY_LINK = "purity_link"
 
 
-def _traces(p: np.ndarray) -> np.ndarray:
-    return np.einsum("...ii->...", p)
-
-
 class _Operands:
     """What the catalogue entries share, derived once per check."""
 
@@ -75,7 +78,7 @@ class _Operands:
         self.g = basis.elements
         self.gc = self.g.conj()
         self.gd = dagger(self.g)
-        self.tr = _traces(self.g)
+        self.tr = np.einsum("nii->n", self.g)
         self.rng = rng
 
     def random(self) -> np.ndarray:
@@ -84,15 +87,43 @@ class _Operands:
         return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
 
 
-def _pairs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P[a,b] = x[a] y[b] for two stacks of matrices."""
-    return x[:, None] @ y[None, :]
-
-
 def _product_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_n x_n y_n over stacks of d x d matrices, without a copy of either stack."""
-    d = x.shape[-1]
-    return np.einsum("nij,njk->ik", x.reshape(-1, d, d), y.reshape(-1, d, d))
+    """sum_n x_n y_n over stacks of d x d matrices, as one d x nd by nd x d product."""
+    n, d, _ = x.shape
+    return x.transpose(1, 0, 2).reshape(d, n * d) @ y.reshape(n * d, d)
+
+
+def _pair_kron_sum(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """sum_mn x_m y_n (x) z_m w_n = (sum_m x_m (x) z_m)(sum_n y_n (x) w_n)."""
+    return kron_sum(x, z) @ kron_sum(y, w)
+
+
+def _pair_product_sum(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with S(Y) = sum_m x_m Y z_m.
+
+    Under the row-major vec, vec(x Y z) = (x (x) z^T) vec(Y), so S is the
+    Kronecker sum of x and z^T, applied to the whole y stack at once.
+    """
+    n, d, _ = y.shape
+    s = kron_sum(x, np.swapaxes(z, -1, -2))
+    return _product_sum((y.reshape(n, d * d) @ s.T).reshape(n, d, d), w)
+
+
+def _trace_gram(x: np.ndarray) -> np.ndarray:
+    """M[m,n] = Tr(x_m x_n) for a stack of d x d matrices."""
+    n, d, _ = x.shape
+    return x.reshape(n, d * d) @ np.swapaxes(x, -1, -2).reshape(n, d * d).T
+
+
+def _trace_weighted_pair_sum(x: np.ndarray) -> np.ndarray:
+    """sum_mn Tr(x_m x_n) (x_m x_n)^* = sum_m x_m^* (sum_n M[m,n] x_n^*)."""
+    n, d, _ = x.shape
+    xc = x.conj()
+    return _product_sum(xc, (_trace_gram(x) @ xc.reshape(n, d * d)).reshape(n, d, d))
 
 
 def _distance(lhs, rhs) -> float:
@@ -155,48 +186,46 @@ _CATALOGUE = {
     # four-factor sums over pairs (a,b), (j,k)
     IdentityId.IDENTITY_4OP_TENSOR: (
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _distance(kron_sum(_pairs(s.gd, s.g), _pairs(s.g, s.gd)) / s.d**2, 1),
+        lambda s: _distance(_pair_kron_sum(s.gd, s.g, s.g, s.gd) / s.d**2, 1),
         tolerance,
     ),
     IdentityId.FOUROPS_1: (
         "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        lambda s: _distance(_product_sum(_pairs(s.gd, s.g), _pairs(s.g, s.gd)), s.d**2),
+        lambda s: _distance(_pair_product_sum(s.gd, s.g, s.g, s.gd), s.d**2),
         tolerance,
     ),
     IdentityId.FOUROPS_2: (
         "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        lambda s: _distance(_product_sum(_pairs(s.g, s.g), _pairs(s.gc, s.gc)), s.d**3),
+        lambda s: _distance(_pair_product_sum(s.g, s.g, s.gc, s.gc), s.d**3),
         tolerance,
     ),
     IdentityId.FOUROPS_3: (
         "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        lambda s: _distance(_product_sum(_pairs(s.g, s.gc), _pairs(s.gd, s.g)), s.d**2),
+        lambda s: _distance(_pair_product_sum(s.g, s.gc, s.gd, s.g), s.d**2),
         tolerance,
     ),
     IdentityId.BELLBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
         lambda s: _distance(
-            kron_sum(_pairs(s.g, s.g), _pairs(s.gc, s.gc)) / s.d**4, bell_projector(s.d)
+            _pair_kron_sum(s.g, s.g, s.gc, s.gc) / s.d**4, bell_projector(s.d)
         ),
         tolerance,
     ),
     IdentityId.SWAPBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
         lambda s: _distance(
-            kron_sum(_pairs(s.g, s.gc), _pairs(s.gd, s.g)) / s.d**3, bell_projector(s.d)
+            _pair_kron_sum(s.g, s.gc, s.gd, s.g) / s.d**3, bell_projector(s.d)
         ),
         tolerance,
     ),
     IdentityId.TR1_BELLBELL: (
         "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
-        lambda s: _distance(
-            np.einsum("ab,abij->ij", _traces(_pairs(s.g, s.g)), _pairs(s.gc, s.gc)), s.d**3
-        ),
+        lambda s: _distance(_trace_weighted_pair_sum(s.g), s.d**3),
         tolerance,
     ),
     IdentityId.TR12_BELLBELL: (
         "sum |Tr(g_ab g_jk)|^2 == d^4",
-        lambda s: _distance(np.sum(np.abs(_traces(_pairs(s.g, s.g))) ** 2), float(s.d) ** 4),
+        lambda s: _distance(np.sum(np.abs(_trace_gram(s.g)) ** 2), float(s.d) ** 4),
         scalar_tolerance,
     ),
     # seeded random-operator checks

@@ -125,3 +125,28 @@ def random_matrix(d, rng):
 def random_hermitian(d, rng):
     a = random_matrix(d, rng)
     return a + a.conj().T
+
+
+def four_factor_loops(x, y, z, w):
+    """(sum_mn x_m y_n z_m w_n, sum_mn x_m y_n (x) z_m w_n) by an explicit double loop."""
+    d = len(x[0])
+    product = np.zeros((d, d), dtype=complex)
+    kron = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(len(x)):
+        for b in range(len(y)):
+            product += x[a] @ y[b] @ z[a] @ w[b]
+            kron += kron_loops(x[a] @ y[b], z[a] @ w[b])
+    return product, kron
+
+
+def trace_gram_loops(x):
+    """M[m,n] = Tr(x_m x_n), via explicit loops."""
+    n = len(x)
+    d = len(x[0])
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for i in range(d):
+                for j in range(d):
+                    out[a, b] += x[a][i, j] * x[b][j, i]
+    return out

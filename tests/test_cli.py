@@ -1,9 +1,14 @@
 """Tests for the command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import hsbasis
 from hsbasis import cli
 from hsbasis.bases import MatrixBasis, gellmann_basis
 from hsbasis.cli import main
@@ -91,6 +96,36 @@ class TestVerify:
     def test_unknown_basis_spec_exits_2(self, capsys):
         code = run("verify", "--dim", "2", "--basis", "bogus")
         assert code == 2
+
+
+class TestBlasThreadCount:
+    """The machine report is reproducible under a given BLAS thread count."""
+
+    ARGS = ("verify", "--dim", "6", "--basis", "weyl", "--report", "machine")
+
+    def _verify(self, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        src = str(Path(hsbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsbasis", *self.ARGS],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_same_verdicts_and_stable_bytes(self):
+        one = [self._verify(1) for _ in range(2)]
+        two = [self._verify(2) for _ in range(2)]
+        assert one[0] == one[1]
+        assert two[0] == two[1]
+        verdicts = [
+            {r["id"]: r["verdict"] for r in json.loads(out)["results"]} for out in (one[0], two[0])
+        ]
+        assert verdicts[0] == verdicts[1]
+        assert set(verdicts[0].values()) == {"pass"}
 
 
 class TestBuild:

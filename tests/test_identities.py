@@ -7,10 +7,21 @@ from hsbasis.bases import (
     MatrixBasis,
     gellmann_basis,
     random_basis,
+    random_unitary,
+    rotated_basis,
     standard_basis,
     weyl_basis,
 )
-from hsbasis.identities import IdentityId, check_identity, run_catalogue
+from hsbasis.identities import (
+    IdentityId,
+    _pair_kron_sum,
+    _pair_product_sum,
+    _product_sum,
+    _trace_gram,
+    _trace_weighted_pair_sum,
+    check_identity,
+    run_catalogue,
+)
 from hsbasis.linalg import tolerance
 from hsbasis.maps import trace_map
 from hsbasis.operators import bell_projector
@@ -193,3 +204,105 @@ def test_two_factor_sums_with_loops():
         assert np.allclose(tr_conj, d * eye, atol=1e-12)
         assert np.allclose(swap, oracles.swap_loops(d), atol=1e-12)
         assert np.allclose(bell, oracles.bell_projector_loops(d), atol=1e-12)
+
+
+def _random_stack(n, d, rng):
+    return np.array([oracles.random_matrix(d, rng) for _ in range(n)])
+
+
+def _close(got, want):
+    return np.linalg.norm(np.subtract(got, want)) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+class TestFourFactorKernels:
+    """The O(d^6) factorizations against double loops over unrelated, non-orthogonal stacks.
+
+    The stacks are random, distinct and of length n != d^2, so a transposed or
+    swapped argument cannot be hidden by an orthogonality relation.
+    """
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pair_sums(self, d, n):
+        rng = np.random.default_rng(10 * d + n)
+        x, y, z, w = (_random_stack(n, d, rng) for _ in range(4))
+        product, kron = oracles.four_factor_loops(x, y, z, w)
+        assert _close(_pair_product_sum(x, y, z, w), product)
+        assert _close(_pair_kron_sum(x, y, z, w), kron)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_product_sum(self, d, n):
+        rng = np.random.default_rng(20 * d + n)
+        x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
+        assert _close(_product_sum(x, y), sum(x[a] @ y[a] for a in range(n)))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_trace_gram_and_weighted_sum(self, d, n):
+        rng = np.random.default_rng(30 * d + n)
+        x = _random_stack(n, d, rng)
+        m = oracles.trace_gram_loops(x)
+        weighted = sum(
+            m[a, b] * x[a].conj() @ x[b].conj() for a in range(n) for b in range(n)
+        )
+        assert _close(_trace_gram(x), m)
+        assert np.sum(np.abs(_trace_gram(x)) ** 2) == pytest.approx(
+            sum(abs(v) ** 2 for v in m.ravel()), rel=1e-12
+        )
+        assert _close(_trace_weighted_pair_sum(x), weighted)
+
+
+def _pair_stack_residuals(g, d):
+    """Residuals of the eight four-factor identities from the double-loop oracle."""
+    gc = g.conj()
+    gd = gc.transpose(0, 2, 1)
+    eye, bell = np.eye(d), oracles.bell_projector_loops(d)
+    m = oracles.trace_gram_loops(g)
+    n = len(g)
+    p1, k1 = oracles.four_factor_loops(gd, g, g, gd)
+    p2, k2 = oracles.four_factor_loops(g, g, gc, gc)
+    p3, k3 = oracles.four_factor_loops(g, gc, gd, g)
+    weighted = sum(m[a, b] * gc[a] @ gc[b] for a in range(n) for b in range(n))
+    norm = np.linalg.norm
+    return {
+        IdentityId.IDENTITY_4OP_TENSOR: norm(k1 / d**2 - np.eye(d * d)),
+        IdentityId.FOUROPS_1: norm(p1 - d**2 * eye),
+        IdentityId.FOUROPS_2: norm(p2 - d**3 * eye),
+        IdentityId.FOUROPS_3: norm(p3 - d**2 * eye),
+        IdentityId.BELLBELL_TENSOR: norm(k2 / d**4 - bell),
+        IdentityId.SWAPBELL_TENSOR: norm(k3 / d**3 - bell),
+        IdentityId.TR1_BELLBELL: norm(weighted - d**3 * eye),
+        IdentityId.TR12_BELLBELL: abs(np.sum(np.abs(m) ** 2) - d**4),
+    }
+
+
+def test_four_factor_entries_on_non_orthogonal_basis():
+    # one Gell-Mann element tilted towards another, renormalized to Tr(g^dag g) = d:
+    # every four-factor identity fails, and the factorized entries must fail by the
+    # same residual as the explicit pair sums
+    d = 3
+    g = np.array(gellmann_basis(d).elements)
+    tilted = g[1] + 0.3 * g[2]
+    g[1] = tilted * np.sqrt(d / np.vdot(tilted, tilted).real)
+    basis = MatrixBasis(d, g)
+    reference = _pair_stack_residuals(g, d)
+    for identity, expected in reference.items():
+        check = check_identity(identity, basis)
+        assert check.residual == pytest.approx(expected, rel=1e-12), identity
+        assert check.passed == (expected <= check.tolerance), identity
+        assert not check.passed, identity
+
+
+@pytest.mark.parametrize(
+    "make_basis",
+    [
+        lambda: random_basis(16, 1600),
+        lambda: random_basis(16, 1601),
+        lambda: rotated_basis(weyl_basis(12), random_unitary(144, 1200)),
+    ],
+    ids=["random16_a", "random16_b", "rotated_weyl12"],
+)
+def test_catalogue_tolerance_holds_at_large_d(make_basis):
+    report = run_catalogue(make_basis(), seed=4)
+    assert report.all_passed, [c.id for c in report.failures]

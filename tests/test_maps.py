@@ -383,6 +383,14 @@ class TestConcurrence:
         assert concurrence_squared(psi) == pytest.approx(expected, abs=1e-12)
         assert concurrence_squared(psi) == pytest.approx(2.0 * (1.0 - 1.0 / d), abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    def test_random_state_matches_reduced_purity(self, d):
+        rng = np.random.default_rng(85 + d)
+        for _ in range(3):
+            psi = oracles.random_state(d * d, rng)
+            expected = 2.0 * (1.0 - oracles.reduced_purity(psi, d))
+            assert abs(concurrence_squared(psi) - expected) <= tolerance(d)
+
     def test_d2_bell_is_one(self):
         assert concurrence_squared(bell_state(2)) == pytest.approx(1.0, abs=1e-12)
 
