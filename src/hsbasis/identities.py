@@ -15,7 +15,8 @@ rule (A (x) B)(C (x) D) = AC (x) BD into sums over single elements:
 - sum_mn x_m y_n (x) z_m w_n = (sum_m x_m (x) z_m)(sum_n y_n (x) w_n), a
   product of two :func:`hsbasis.linalg.kron_sum` results, O(d^6);
 - sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with the superoperator
-  S(Y) = sum_m x_m Y z_m, built and applied to the y stack in O(d^6);
+  S(Y) = sum_m x_m Y z_m (:func:`hsbasis.linalg.sandwich_sum`), built
+  and applied to the y stack in O(d^6);
 - the trace-weighted sums go through M[m,n] = Tr(g_m g_n), one
   d^2 x d^2 matrix product, O(d^6).
 """
@@ -30,10 +31,13 @@ import numpy as np
 
 from .bases import MatrixBasis
 from .linalg import (
+    apply_superop,
     dagger,
     frob_norm,
     kron_sum,
     partial_trace,
+    product_sum,
+    sandwich_sum,
     scalar_tolerance,
     tensor,
     tolerance,
@@ -87,12 +91,6 @@ class _Operands:
         return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
 
 
-def _product_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_n x_n y_n over stacks of d x d matrices, as one d x nd by nd x d product."""
-    n, d, _ = x.shape
-    return x.transpose(1, 0, 2).reshape(d, n * d) @ y.reshape(n * d, d)
-
-
 def _pair_kron_sum(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
@@ -103,14 +101,8 @@ def _pair_kron_sum(
 def _pair_product_sum(
     x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with S(Y) = sum_m x_m Y z_m.
-
-    Under the row-major vec, vec(x Y z) = (x (x) z^T) vec(Y), so S is the
-    Kronecker sum of x and z^T, applied to the whole y stack at once.
-    """
-    n, d, _ = y.shape
-    s = kron_sum(x, np.swapaxes(z, -1, -2))
-    return _product_sum((y.reshape(n, d * d) @ s.T).reshape(n, d, d), w)
+    """sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with S(Y) = sum_m x_m Y z_m."""
+    return product_sum(apply_superop(sandwich_sum(x, z), y), w)
 
 
 def _trace_gram(x: np.ndarray) -> np.ndarray:
@@ -123,7 +115,7 @@ def _trace_weighted_pair_sum(x: np.ndarray) -> np.ndarray:
     """sum_mn Tr(x_m x_n) (x_m x_n)^* = sum_m x_m^* (sum_n M[m,n] x_n^*)."""
     n, d, _ = x.shape
     xc = x.conj()
-    return _product_sum(xc, (_trace_gram(x) @ xc.reshape(n, d * d)).reshape(n, d, d))
+    return product_sum(xc, (_trace_gram(x) @ xc.reshape(n, d * d)).reshape(n, d, d))
 
 
 def _distance(lhs, rhs) -> float:
@@ -155,7 +147,7 @@ _CATALOGUE = {
     ),
     IdentityId.GG_DAGGER_SUM: (
         "sum g g^dag == d^2 1",
-        lambda s: _distance(_product_sum(s.g, s.gd), s.d**2),
+        lambda s: _distance(product_sum(s.g, s.gd), s.d**2),
         tolerance,
     ),
     IdentityId.TRACE_WEIGHTED_SUM: (
@@ -175,7 +167,7 @@ _CATALOGUE = {
     ),
     IdentityId.GG_CONJ_SUM: (
         "sum g g^* == d 1",
-        lambda s: _distance(_product_sum(s.g, s.gc), s.d),
+        lambda s: _distance(product_sum(s.g, s.gc), s.d),
         tolerance,
     ),
     IdentityId.TRACE_WEIGHTED_CONJ: (

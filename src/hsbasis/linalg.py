@@ -4,6 +4,12 @@ Operators are plain numpy arrays of complex doubles in C (row-major)
 order. A two-party operator on H_d (x) H_d is a d^2 x d^2 matrix whose
 composite row index (j, k) is flattened as j*d + k, and identically for
 columns. All functions are pure: inputs are never mutated.
+
+The superoperator of a map L on d x d operators is the d^2 x d^2
+matrix on row-major vectorized operators, column r being vec(L(E_r))
+for the unit matrix E_r. As vec(x A y) = (x (x) y^T) vec(A), the sum
+A -> sum_n x_n A y_n has the superoperator sum_n x_n (x) y_n^T
+(:func:`sandwich_sum`); only this module encodes that rule.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ __all__ = [
     "devectorize",
     "basis_sum",
     "kron_sum",
+    "product_sum",
+    "sandwich_sum",
+    "apply_superop",
 ]
 
 
@@ -136,16 +145,15 @@ def devectorize(v: np.ndarray) -> np.ndarray:
 
 
 def basis_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_n vec(x_n) vec(y_n)^T for equally long stacks of d x d matrices.
+    """sum_n vec(x_n) vec(y_n)^T for equally long stacks of matrices.
 
-    Leading axes are flattened into the summation index n, so the sum is
-    a single d^2 x n by n x d^2 matrix product. Read as a (d, d, d, d)
-    tensor it is T[i,j,k,l] = sum_n x_n[i,j] y_n[k,l].
+    Leading axes are flattened into the summation index n, so for d x d
+    matrices the sum is a single d^2 x n by n x d^2 matrix product. Read
+    as a (d, d, d, d) tensor it is T[i,j,k,l] = sum_n x_n[i,j] y_n[k,l].
     """
     x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    d = x.shape[-1]
-    return x.reshape(-1, d * d).T @ y.reshape(-1, d * d)
+    rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    return rows.T @ np.asarray(y, dtype=complex).reshape(len(rows), -1)
 
 
 def kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -154,3 +162,26 @@ def kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The reshuffle of :func:`basis_sum`, so it costs one matrix product.
     """
     return reshuffle(basis_sum(x, y), np.shape(x)[-1])
+
+
+def product_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_n x_n y_n over stacks of d x d matrices, as one d x nd by nd x d product."""
+    n, d, _ = x.shape
+    return x.transpose(1, 0, 2).reshape(d, n * d) @ y.reshape(n * d, d)
+
+
+def sandwich_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Superoperator of A -> sum_n x_n A y_n, the d^2 x d^2 matrix sum_n x_n (x) y_n^T."""
+    return kron_sum(x, np.swapaxes(y, -1, -2))
+
+
+def apply_superop(s: np.ndarray, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
+    """Apply the d^2 x d^2 superoperator ``s`` to the d x d matrices on ``axes`` of ``a``.
+
+    All other axes are batch axes. On a two-party B[j,k,l,m], axes (0, 2)
+    act on party 1, (1, 3) on party 2, and (1, 2) put the left factor on
+    party 2 and the right one on party 1 (the reshuffle).
+    """
+    a = np.moveaxis(np.asarray(a, dtype=complex), axes, (-2, -1))
+    out = a.reshape(-1, s.shape[1]) @ s.T
+    return np.moveaxis(out.reshape(a.shape), (-2, -1), axes)

@@ -6,11 +6,11 @@ reshuffling of two-party operators, general superoperators with their
 Choi representation, universal state inversion, and the pure-state
 concurrence it induces.
 
-Conventions: a superoperator is stored as the d^2 x d^2 matrix acting on
-row-major vectorized operators, column r being vec(L(E_r)) for the unit
-matrix E_r. Complex conjugation is entrywise in the computational basis
-throughout (the basis in which the antisymmetric Gell-Mann elements used
-for state inversion are defined).
+Every map is a two-sided sum A -> sum_n x_n A y_n: the superoperator
+:func:`hsbasis.linalg.sandwich_sum` applied by :func:`hsbasis.linalg.apply_superop`
+on the axes of the factor it acts on (conventions in :mod:`hsbasis.linalg`).
+Conjugation is entrywise in the computational basis, in which the
+antisymmetric Gell-Mann elements used for state inversion are defined.
 """
 
 from __future__ import annotations
@@ -23,15 +23,18 @@ import numpy as np
 
 from .bases import MatrixBasis, gellmann_basis
 from .linalg import (
+    _as_two_party,
+    _check_party,
+    apply_superop,
     basis_sum,
     dagger,
-    devectorize,
     frob_norm,
     kron_sum,
     partial_trace,
+    product_sum,
+    sandwich_sum,
     tensor,
     tolerance,
-    vectorize,
 )
 
 __all__ = [
@@ -76,8 +79,13 @@ class Superoperator:
     d: int
     matrix: np.ndarray  # (d*d, d*d), complex
 
+    def __post_init__(self) -> None:
+        shape, n = np.shape(self.matrix), self.d * self.d
+        if shape != (n, n):
+            raise ValueError(f"superoperator for d={self.d} must be {n}x{n}, got {shape}")
+
     def apply(self, a: np.ndarray) -> np.ndarray:
-        return devectorize(self.matrix @ vectorize(a))
+        return apply_superop(self.matrix, _check_square(a, self.d))
 
 
 @dataclass(frozen=True)
@@ -116,78 +124,54 @@ def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
 
 def trace_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^dag, which equals Tr(A) 1 for any orthogonal basis."""
-    a = _check_square(a, basis.d)
     g = basis.elements
-    out = np.einsum("nij,jk,nlk->il", g, a, g.conj())
-    return out / basis.d
+    return apply_superop(sandwich_sum(g, dagger(g)), _check_square(a, basis.d)) / basis.d
 
 
 def transpose_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^*, the basis expansion of the transposition."""
-    a = _check_square(a, basis.d)
     g = basis.elements
-    out = np.einsum("nij,jk,nkl->il", g, a, g.conj())
-    return out / basis.d
+    return apply_superop(sandwich_sum(g, g.conj()), _check_square(a, basis.d)) / basis.d
 
 
 def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk,lm g_jk g_lm^dag A g_jk^dag g_lm, reproducing A itself."""
-    a = _check_square(a, basis.d)
-    g = basis.elements
-    gd = dagger(g)
-    out = np.einsum("pij,qjk,kl,plm,qmn->in", g, gd, a, gd, g, optimize=True)
-    return out / basis.d**2
+    g, gd = basis.elements, dagger(basis.elements)
+    inner = apply_superop(sandwich_sum(g, gd), gd @ _check_square(a, basis.d))
+    return product_sum(inner, g) / basis.d**2
 
 
-# Two-sided sums sum_n (x_n on a party) B (y_n on a party) as contractions of
-# T[j,p,q,l] = sum_n x_n[j,p] y_n[q,l] (see basis_sum) with B[j,k,l,m].
-_BOTH_ON_1 = "jpql,pkqm->jklm"  # (x (x) 1) B (y (x) 1)
-_BOTH_ON_2 = "kpqm,jplq->jklm"  # (1 (x) x) B (1 (x) y)
-_LEFT_2_RIGHT_1 = "kpql,jpqm->jklm"  # (1 (x) x) B (y (x) 1)
+_PARTY_AXES = {1: (0, 2), 2: (1, 3)}  # the axes of B[j,k,l,m] that each party spans
 
 
-def _two_sided(spec: str, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract T = basis_sum(x, y), a d^2 x d^2 matrix, with B as ``spec`` says."""
-    d = math.isqrt(len(t))
-    out = np.einsum(spec, t.reshape(d, d, d, d), b.reshape(d, d, d, d), optimize=True)
-    return out.reshape(d * d, d * d)
-
-
-def _two_party(b: np.ndarray, d: int) -> np.ndarray:
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (d * d, d * d):
-        raise ValueError(f"two-party operator must be {d * d}x{d * d}, got {b.shape}")
-    return b
+def _two_sided(s: np.ndarray, b: np.ndarray, d: int, axes) -> np.ndarray:
+    """Apply the superoperator ``s`` to the factors of the two-party ``b`` on ``axes``."""
+    return apply_superop(s, _as_two_party(b, d), axes).reshape(d * d, d * d)
 
 
 def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.ndarray:
     """Partial transposition of a two-party operator as a two-sided basis sum.
 
     Party 2: (1/d) sum (1 (x) g) B (1 (x) g^*); party 1 mirrors the
-    factors. The single-party sum T = sum g (x) g^* is built from the
-    basis elements in O(d^6) and contracted with B on the chosen factor
-    in O(d^6). Matches the raw index swap of
+    factors. The single-party superoperator of Y -> sum g Y g^* is built
+    from the basis elements in O(d^6) and applied to B on the chosen
+    factor in O(d^6). Matches the raw index swap of
     :func:`hsbasis.linalg.partial_transpose`.
     """
-    if party not in (1, 2):
-        raise ValueError(f"party must be 1 or 2, got {party!r}")
-    b = _two_party(b, basis.d)
+    _check_party(party)
     g = basis.elements
-    spec = _BOTH_ON_2 if party == 2 else _BOTH_ON_1
-    return _two_sided(spec, basis_sum(g, g.conj()), b) / basis.d
+    return _two_sided(sandwich_sum(g, g.conj()), b, basis.d, _PARTY_AXES[party]) / basis.d
 
 
 def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """Reshuffling as a two-sided basis sum, (1/d) sum (1 (x) g) B (g^* (x) 1).
 
-    Built like :func:`partial_transpose_map` from T = sum g (x) g^*, with
-    g acting from the left on factor 2 and g^* from the right on factor
-    1; O(d^6). Matches the raw index permutation of
-    :func:`hsbasis.linalg.reshuffle`.
+    Built like :func:`partial_transpose_map`, with g acting from the
+    left on factor 2 and g^* from the right on factor 1; O(d^6). Matches
+    the raw index permutation of :func:`hsbasis.linalg.reshuffle`.
     """
-    b = _two_party(b, basis.d)
     g = basis.elements
-    return _two_sided(_LEFT_2_RIGHT_1, basis_sum(g, g.conj()), b) / basis.d
+    return _two_sided(sandwich_sum(g, g.conj()), b, basis.d, (1, 2)) / basis.d
 
 
 def superop_from_action(
@@ -198,13 +182,8 @@ def superop_from_action(
     ``action`` gives the image of each basis element; linearity fixes the
     rest. Column r of the matrix is vec(L(E_r)) for the unit matrix E_r.
     """
-    d = basis.d
-    n = d * d
-    images = np.stack([vectorize(action(g)) for g in basis.elements])
-    # weights[q, r] = conj(g_q entries) read at flat position r = a*d + b
-    weights = basis.elements.reshape(n, n).conj()
-    matrix = np.einsum("qc,qr->cr", images, weights) / d
-    return Superoperator(d, matrix)
+    images = np.stack([action(g) for g in basis.elements])
+    return Superoperator(basis.d, basis_sum(images, basis.elements.conj()) / basis.d)
 
 
 def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
@@ -215,8 +194,7 @@ def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
             f"superoperator dimension {superop.d} does not match basis dimension {d}"
         )
     g = basis.elements
-    images = (g.reshape(d * d, d * d) @ superop.matrix.T).reshape(g.shape)  # L(g_n)
-    return ChoiState(d, kron_sum(images, g.conj()) / d**2)
+    return ChoiState(d, kron_sum(apply_superop(superop.matrix, g), g.conj()) / d**2)
 
 
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:
@@ -224,6 +202,14 @@ def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:
     d = choi.d
     a = _check_square(a, d)
     return d * partial_trace(choi.matrix @ tensor(np.eye(d), a.T), 2, d)
+
+
+def _local_dim(n: int, what: str) -> int:
+    """The local dimension d >= 2 of a two-party space of size n = d^2."""
+    d = math.isqrt(n)
+    if d * d != n or d < 2:
+        raise ValueError(f"{what} {n} is not d^2 for a local dimension d >= 2")
+    return d
 
 
 def _check_hermitian(a: np.ndarray, tol: float, what: str) -> None:
@@ -240,9 +226,7 @@ def state_inversion(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     a = _check_square(a, basis.d)
     _check_hermitian(a, tolerance(basis.d), "state-inversion input")
     g = basis.elements
-    gd_minus_gc = dagger(g) - g.conj()
-    out = np.einsum("nij,jk,nkl->il", g, a.conj(), gd_minus_gc)
-    return out / basis.d
+    return apply_superop(sandwich_sum(g, dagger(g) - g.conj()), a.conj()) / basis.d
 
 
 def _y_elements(d: int) -> np.ndarray:
@@ -263,8 +247,7 @@ def state_inversion_y(a: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     _check_hermitian(a, tolerance(d), "state-inversion input")
     ys = _y_elements(d)
-    out = np.einsum("nij,jk,nkl->il", ys, a.conj(), ys)
-    return 2.0 * out / d
+    return 2.0 * apply_superop(sandwich_sum(ys, ys), a.conj()) / d
 
 
 def state_inversion_two(b: np.ndarray) -> np.ndarray:
@@ -274,21 +257,18 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     higher-dimensional generalization of the spin-flip construction.
     Equals Tr(B) 1 - Tr_2(B) (x) 1 - 1 (x) Tr_1(B) + B for Hermitian B.
     Since y_jk (x) y_lm = (y_jk (x) 1)(1 (x) y_lm), the sum factorizes:
-    the single-party sum Y = sum y (x) y is built once in O(d^6) and
-    applied to factor 2, then to factor 1, each in O(d^6).
+    the single-party superoperator of Y -> sum y Y y is built once in
+    O(d^6) and applied to factor 2, then to factor 1, each in O(d^6).
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError(f"two-party operator must be square, got {b.shape}")
-    d = math.isqrt(b.shape[0])
-    if d * d != b.shape[0] or d < 2:
-        raise ValueError(
-            f"two-party operator size {b.shape[0]} is not d^2 for a local dimension d >= 2"
-        )
+    d = _local_dim(b.shape[0], "two-party operator size")
     _check_hermitian(b, tolerance(d * d), "state-inversion input")
     ys = _y_elements(d)
-    t = basis_sum(ys, ys)
-    return 4.0 * _two_sided(_BOTH_ON_1, t, _two_sided(_BOTH_ON_2, t, b.conj())) / d**2
+    s = sandwich_sum(ys, ys)
+    inverted = _two_sided(s, _two_sided(s, b.conj(), d, _PARTY_AXES[2]), d, _PARTY_AXES[1])
+    return 4.0 * inverted / d**2
 
 
 def concurrence_squared(psi: np.ndarray) -> float:
@@ -299,11 +279,7 @@ def concurrence_squared(psi: np.ndarray) -> float:
     from 0 (product states) to 2(1 - 1/d) (maximally entangled states).
     """
     psi = np.asarray(psi, dtype=complex).ravel()
-    d = math.isqrt(psi.size)
-    if d * d != psi.size or d < 2:
-        raise ValueError(
-            f"state vector length {psi.size} is not d^2 for a local dimension d >= 2"
-        )
+    d = _local_dim(psi.size, "state vector length")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tolerance(d):
         raise ValueError(f"state vector must be normalized, got norm {norm!r}")

@@ -150,3 +150,16 @@ def trace_gram_loops(x):
                 for j in range(d):
                     out[a, b] += x[a][i, j] * x[b][j, i]
     return out
+
+
+def sandwich_loops(x, a, y):
+    """sum_n x_n A y_n, via explicit index loops."""
+    d = len(a)
+    out = np.zeros((d, d), dtype=complex)
+    for n in range(len(x)):
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    for l in range(d):
+                        out[i, l] += x[n][i, j] * a[j, k] * y[n][k, l]
+    return out

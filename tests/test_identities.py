@@ -16,13 +16,12 @@ from hsbasis.identities import (
     IdentityId,
     _pair_kron_sum,
     _pair_product_sum,
-    _product_sum,
     _trace_gram,
     _trace_weighted_pair_sum,
     check_identity,
     run_catalogue,
 )
-from hsbasis.linalg import tolerance
+from hsbasis.linalg import product_sum, tolerance
 from hsbasis.maps import trace_map
 from hsbasis.operators import bell_projector
 
@@ -235,7 +234,7 @@ class TestFourFactorKernels:
     def test_product_sum(self, d, n):
         rng = np.random.default_rng(20 * d + n)
         x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
-        assert _close(_product_sum(x, y), sum(x[a] @ y[a] for a in range(n)))
+        assert _close(product_sum(x, y), sum(x[a] @ y[a] for a in range(n)))
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsbasis.linalg import (
+    apply_superop,
     basis_sum,
     devectorize,
     hs_inner,
@@ -11,6 +12,7 @@ from hsbasis.linalg import (
     partial_trace,
     partial_transpose,
     reshuffle,
+    sandwich_sum,
     tensor,
     vectorize,
 )
@@ -223,3 +225,43 @@ class TestBasisSumKernel:
         x = oracles.random_matrix(3, rng).reshape(1, 1, 3, 3) * np.ones((2, 4, 1, 1))
         y = oracles.random_matrix(3, rng).reshape(1, 1, 3, 3) * np.ones((2, 4, 1, 1))
         assert np.allclose(kron_sum(x, y), 8 * oracles.kron_loops(x[0, 0], y[0, 0]), atol=1e-12)
+
+
+def _random_stack(n, d, rng):
+    return np.stack([oracles.random_matrix(d, rng) for _ in range(n)])
+
+
+class TestSandwichKernel:
+    """apply_superop(sandwich_sum(x, y), .) against loops over distinct random stacks."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("count", ["one", "three", "full"])
+    def test_single_matrix_and_stack(self, d, count):
+        n = {"one": 1, "three": 3, "full": d * d}[count]
+        rng = np.random.default_rng(60 + 10 * d + n)
+        x, y, a = _random_stack(n, d, rng), _random_stack(n, d, rng), _random_stack(2, d, rng)
+        s = sandwich_sum(x, y)
+        single = apply_superop(s, a[0])
+        assert single.shape == (d, d)
+        assert np.allclose(single, oracles.sandwich_loops(x, a[0], y), atol=1e-12)
+        stack = apply_superop(s, a)
+        assert stack.shape == a.shape
+        for got, m in zip(stack, a):
+            assert np.allclose(got, oracles.sandwich_loops(x, m, y), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("axes", [(0, 2), (1, 3), (1, 2)])
+    def test_two_party_axes(self, d, axes):
+        rng = np.random.default_rng(70 + d + sum(axes))
+        x, y = _random_stack(3, d, rng), _random_stack(3, d, rng)
+        b = oracles.random_matrix(d * d, rng)
+        eye = np.eye(d)
+        on_party = {
+            1: lambda m: oracles.kron_loops(m, eye),
+            2: lambda m: oracles.kron_loops(eye, m),
+        }
+        # (party of the left factor x_n, party of the right factor y_n)
+        left, right = {(0, 2): (1, 1), (1, 3): (2, 2), (1, 2): (2, 1)}[axes]
+        expected = sum(on_party[left](xn) @ b @ on_party[right](yn) for xn, yn in zip(x, y))
+        got = apply_superop(sandwich_sum(x, y), b.reshape(d, d, d, d), axes)
+        assert np.allclose(got.reshape(d * d, d * d), expected, atol=1e-12)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsbasis.bases import (
     gellmann_basis,
     random_basis,
     random_unitary,
+    rotated_basis,
     standard_basis,
     weyl_basis,
 )
@@ -34,7 +37,13 @@ from hsbasis.maps import (
     trace_map,
     transpose_map,
 )
-from hsbasis.operators import bell_projector, bell_state, swap_operator
+from hsbasis.operators import (
+    bell_expansion,
+    bell_projector,
+    bell_state,
+    swap_expansion,
+    swap_operator,
+)
 
 import oracles
 
@@ -170,6 +179,11 @@ class TestPartialTransposeMap:
         with pytest.raises(ValueError, match="party"):
             partial_transpose_map(np.eye(4), 0, gellmann_basis(2))
 
+    @pytest.mark.parametrize("party", [1, 2])
+    def test_wrong_size_rejected(self, party):
+        with pytest.raises(ValueError, match="expected a 9x9"):
+            partial_transpose_map(np.eye(4), party, gellmann_basis(3))
+
 
 class TestReshuffleMap:
     @pytest.mark.parametrize("d", [2, 3])
@@ -192,6 +206,10 @@ class TestReshuffleMap:
         m = oracles.random_matrix(d * d, rng)
         out = reshuffle_map(m, random_basis(d, 13))
         assert np.linalg.norm(out - reshuffle(m, d)) <= tolerance(d)
+
+    def test_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="expected a 4x4"):
+            reshuffle_map(np.eye(9), weyl_basis(2))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
@@ -227,6 +245,44 @@ def test_map_expansions_basis_independent(d):
     assert np.linalg.norm(state_inversion_two(herm) - closed_form) <= tolerance(d * d)
 
 
+def _expansions(basis, single, herm, double):
+    """Every basis-expanded map and operator of one basis, on fixed operands."""
+    out = {
+        "trace_map": trace_map(single, basis),
+        "transpose_map": transpose_map(single, basis),
+        "identity_map": identity_map(single, basis),
+        "state_inversion": state_inversion(herm, basis),
+        "reshuffle_map": reshuffle_map(double, basis),
+        "choi_state": choi_state(superop_from_action(lambda g: g.T, basis), basis).matrix,
+        "swap_expansion": swap_expansion(basis),
+        "bell_expansion": bell_expansion(basis),
+    }
+    for party in (1, 2):
+        out[f"partial_transpose_map_{party}"] = partial_transpose_map(double, party, basis)
+    return out
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    d=st.integers(2, 5),
+    builder=st.sampled_from(BUILTINS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_rotation_leaves_every_map_unchanged(d, builder, seed):
+    """h = U g for a Haar-random unitary U is again an orthogonal basis with the same maps."""
+    rng = np.random.default_rng([1, seed])  # a stream apart from the one that draws U
+    operands = (
+        oracles.random_matrix(d, rng),
+        oracles.random_hermitian(d, rng),
+        oracles.random_matrix(d * d, rng),
+    )
+    basis = builder(d)
+    before = _expansions(basis, *operands)
+    after = _expansions(rotated_basis(basis, random_unitary(d * d, seed)), *operands)
+    for name, value in before.items():
+        assert np.linalg.norm(after[name] - value) <= tolerance(d), name
+
+
 class TestSuperoperators:
     def test_identity_action(self):
         b = gellmann_basis(3)
@@ -258,6 +314,12 @@ class TestSuperoperators:
         a2 = oracles.random_matrix(d, rng)
         combined = superop.apply(0.3 * a1 + 2j * a2)
         assert np.allclose(combined, 0.3 * superop.apply(a1) + 2j * superop.apply(a2))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"must be 9x9, got \(4, 9\)"):
+            superop_from_action(lambda g: g[:2, :2], gellmann_basis(3))
+        with pytest.raises(ValueError, match=r"must be 4x4, got \(9, 9\)"):
+            Superoperator(2, np.eye(9))
 
 
 class TestChoi:
