@@ -7,135 +7,23 @@ coherent state, an executable catalogue of the expansion identities, and
 basis-expanded maps (trace, transposition, partial transpose,
 reshuffling, Choi representation, universal state inversion,
 concurrence).
+
+The public names are those in the ``__all__`` of each module below.
 """
 
-from .bases import (
-    BasisSplit,
-    MatrixBasis,
-    gellmann_basis,
-    random_basis,
-    random_unitary,
-    rotated_basis,
-    split_diag_offdiag,
-    standard_basis,
-    validate_basis,
-    weyl_basis,
-)
-from .identities import IdentityId, check_identity, run_catalogue
-from .linalg import (
-    basis_sum,
-    dagger,
-    devectorize,
-    frob_norm,
-    hs_inner,
-    kron_sum,
-    partial_trace,
-    partial_transpose,
-    reshuffle,
-    scalar_tolerance,
-    tensor,
-    tolerance,
-    vectorize,
-)
-from .maps import (
-    BlochVector,
-    ChoiState,
-    Superoperator,
-    apply_via_choi,
-    bloch_decompose,
-    bloch_reconstruct,
-    choi_state,
-    concurrence_squared,
-    identity_map,
-    partial_transpose_map,
-    reshuffle_map,
-    state_inversion,
-    state_inversion_two,
-    state_inversion_y,
-    superop_from_action,
-    trace_map,
-    transpose_map,
-)
-from .operators import (
-    bell_expansion,
-    bell_projector,
-    bell_state,
-    coherent_expansion,
-    coherent_state,
-    swap_diag_expansion,
-    swap_expansion,
-    swap_operator,
-)
-from .report import IdentityCheck, IdentityReport
-from .transforms import (
-    BasisChange,
-    BlockStructure,
-    block_structure,
-    change_of_basis,
-    from_standard,
-    to_standard,
-)
+from . import bases, identities, linalg, maps, operators, report, transforms
+from .bases import *  # noqa: F403
+from .identities import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .operators import *  # noqa: F403
+from .report import *  # noqa: F403
+from .transforms import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisChange",
-    "BasisSplit",
-    "BlochVector",
-    "BlockStructure",
-    "ChoiState",
-    "IdentityCheck",
-    "IdentityId",
-    "IdentityReport",
-    "MatrixBasis",
-    "Superoperator",
-    "apply_via_choi",
-    "basis_sum",
-    "bell_expansion",
-    "bell_projector",
-    "bell_state",
-    "bloch_decompose",
-    "bloch_reconstruct",
-    "block_structure",
-    "change_of_basis",
-    "check_identity",
-    "choi_state",
-    "coherent_expansion",
-    "coherent_state",
-    "concurrence_squared",
-    "dagger",
-    "devectorize",
-    "frob_norm",
-    "from_standard",
-    "gellmann_basis",
-    "hs_inner",
-    "identity_map",
-    "kron_sum",
-    "partial_trace",
-    "partial_transpose",
-    "partial_transpose_map",
-    "random_basis",
-    "random_unitary",
-    "reshuffle",
-    "reshuffle_map",
-    "rotated_basis",
-    "run_catalogue",
-    "scalar_tolerance",
-    "split_diag_offdiag",
-    "standard_basis",
-    "state_inversion",
-    "state_inversion_two",
-    "state_inversion_y",
-    "superop_from_action",
-    "swap_diag_expansion",
-    "swap_expansion",
-    "swap_operator",
-    "tensor",
-    "to_standard",
-    "tolerance",
-    "transpose_map",
-    "trace_map",
-    "validate_basis",
-    "vectorize",
-    "weyl_basis",
+    name
+    for module in (bases, identities, linalg, maps, operators, report, transforms)
+    for name in module.__all__
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, frob_norm, tolerance
+from .linalg import combine, dagger, frob_norm, hs_gram, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -92,6 +92,17 @@ def standard_basis(d: int) -> MatrixBasis:
     return MatrixBasis(d, el, "standard")
 
 
+def gellmann_y_elements(d: int) -> np.ndarray:
+    """The antisymmetric Gell-Mann elements sqrt(d/2)(-i|k><l| + i|l><k|), k < l, k major."""
+    k, l = np.triu_indices(d, 1)
+    n = np.arange(len(k))
+    half = np.sqrt(d / 2.0)
+    y = np.zeros((len(k), d, d), dtype=complex)
+    y[n, k, l] = -1j * half
+    y[n, l, k] = 1j * half
+    return y
+
+
 def gellmann_basis(d: int) -> MatrixBasis:
     """Generalized Gell-Mann basis: Hermitian SU(d) generators plus the identity.
 
@@ -105,23 +116,13 @@ def gellmann_basis(d: int) -> MatrixBasis:
     check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     el[0] = np.eye(d)
-    half = np.sqrt(d / 2.0)
+    ks, ls = np.triu_indices(d, 1)
+    el[ks * d + ls, ks, ls] = el[ks * d + ls, ls, ks] = np.sqrt(d / 2.0)
+    el[ls * d + ks] = gellmann_y_elements(d)
     for l in range(1, d):
-        for k in range(l):
-            x = np.zeros((d, d), dtype=complex)
-            x[k, l] = half
-            x[l, k] = half
-            el[k * d + l] = x
-            y = np.zeros((d, d), dtype=complex)
-            y[k, l] = -1j * half
-            y[l, k] = 1j * half
-            el[l * d + k] = y
-        z = np.zeros((d, d), dtype=complex)
         scale = np.sqrt(d / (l * (l + 1.0)))
-        for j in range(l):
-            z[j, j] = scale
-        z[l, l] = -l * scale
-        el[l * d + l] = z
+        el[l * d + l, range(l), range(l)] = scale
+        el[l * d + l, l, l] = -l * scale
     return MatrixBasis(d, el, "gellmann")
 
 
@@ -162,10 +163,8 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
     Reports the maximum entrywise deviation of Tr(g_p^dag g_q) from
     d*delta_pq; the verdict is pass iff it stays within tolerance(d).
     """
-    n = len(basis)
-    flat = basis.elements.reshape(n, -1)
-    gram = flat.conj() @ flat.T
-    residual = float(np.abs(gram - basis.d * np.eye(n)).max())
+    gram = hs_gram(basis.elements, basis.elements)
+    residual = float(np.abs(gram - basis.d * np.eye(len(basis))).max())
     tol = tolerance(basis.d)
     check = IdentityCheck(
         id="basis_gram",
@@ -191,12 +190,11 @@ def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:
             f"coefficient matrix must be {n}x{n} for d={basis.d}, got {coeffs.shape}"
         )
     residual = frob_norm(dagger(coeffs) @ coeffs - np.eye(n))
-    if residual > tolerance(n):
+    if not residual <= tolerance(n):
         raise ValueError(
             f"coefficient matrix is not unitary (residual {residual:.3e})"
         )
-    new = np.einsum("rq,qij->rij", coeffs, basis.elements)
-    return MatrixBasis(basis.d, new, "custom")
+    return MatrixBasis(basis.d, combine(coeffs, basis.elements), "custom")
 
 
 def split_diag_offdiag(basis: MatrixBasis) -> BasisSplit | None:

@@ -32,8 +32,10 @@ import numpy as np
 from .bases import MatrixBasis
 from .linalg import (
     apply_superop,
+    combine,
     dagger,
     frob_norm,
+    hs_gram,
     kron_sum,
     partial_trace,
     product_sum,
@@ -106,16 +108,14 @@ def _pair_product_sum(
 
 
 def _trace_gram(x: np.ndarray) -> np.ndarray:
-    """M[m,n] = Tr(x_m x_n) for a stack of d x d matrices."""
-    n, d, _ = x.shape
-    return x.reshape(n, d * d) @ np.swapaxes(x, -1, -2).reshape(n, d * d).T
+    """M[m,n] = Tr(x_m x_n) = Tr((x_m^*)^dag x_n^T) for a stack of d x d matrices."""
+    return hs_gram(x.conj(), np.swapaxes(x, -1, -2))
 
 
 def _trace_weighted_pair_sum(x: np.ndarray) -> np.ndarray:
     """sum_mn Tr(x_m x_n) (x_m x_n)^* = sum_m x_m^* (sum_n M[m,n] x_n^*)."""
-    n, d, _ = x.shape
     xc = x.conj()
-    return product_sum(xc, (_trace_gram(x) @ xc.reshape(n, d * d)).reshape(n, d, d))
+    return product_sum(xc, combine(_trace_gram(x), xc))
 
 
 def _distance(lhs, rhs) -> float:
@@ -152,7 +152,7 @@ _CATALOGUE = {
     ),
     IdentityId.TRACE_WEIGHTED_SUM: (
         "sum Tr(g) g^dag == d 1",
-        lambda s: _distance(np.einsum("n,nij->ij", s.tr, s.gd), s.d),
+        lambda s: _distance(combine(s.tr, s.gd), s.d),
         tolerance,
     ),
     IdentityId.TRACE_NORM_SUM: (
@@ -172,7 +172,7 @@ _CATALOGUE = {
     ),
     IdentityId.TRACE_WEIGHTED_CONJ: (
         "sum Tr(g) g^* == d 1",
-        lambda s: _distance(np.einsum("n,nij->ij", s.tr, s.gc), s.d),
+        lambda s: _distance(combine(s.tr, s.gc), s.d),
         tolerance,
     ),
     # four-factor sums over pairs (a,b), (j,k)

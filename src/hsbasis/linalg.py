@@ -10,6 +10,14 @@ matrix on row-major vectorized operators, column r being vec(L(E_r))
 for the unit matrix E_r. As vec(x A y) = (x (x) y^T) vec(A), the sum
 A -> sum_n x_n A y_n has the superoperator sum_n x_n (x) y_n^T
 (:func:`sandwich_sum`); only this module encodes that rule.
+
+Hilbert-Schmidt coefficients: a stack of d x d matrices is read as the
+rows vec(x_n), leading axes flattened in C order. The projection
+G[m,n] = Tr(x_m^dag y_n) = sum_ij conj(x_m[i,j]) y_n[i,j] conjugates the
+left operand (:func:`hs_gram`), and the combination sum_n c[..., n] x_n
+takes the coefficients as they are (:func:`combine`). An expansion in an
+orthogonal basis {g} with Tr(g^dag g) = d is therefore
+A = combine(hs_gram(g, A), g) / d.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ __all__ = [
     "vectorize",
     "devectorize",
     "basis_sum",
+    "hs_gram",
+    "combine",
     "kron_sum",
     "product_sum",
     "sandwich_sum",
@@ -71,14 +81,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product (A, B)_HS = Tr(A^dag B)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    """Hilbert-Schmidt inner product (A, B)_HS = Tr(A^dag B), the one-matrix :func:`hs_gram`."""
+    if np.shape(a) != np.shape(b) or np.ndim(a) != 2:
         raise ValueError(
-            f"shape mismatch in Hilbert-Schmidt inner product: {a.shape} vs {b.shape}"
+            "shape mismatch in Hilbert-Schmidt inner product: expected two matrices of one "
+            f"shape, got {np.shape(a)} and {np.shape(b)}"
         )
-    return complex(np.vdot(a, b))
+    return complex(hs_gram(a, b))
 
 
 def _as_two_party(m: np.ndarray, d: int) -> np.ndarray:
@@ -144,6 +153,12 @@ def devectorize(v: np.ndarray) -> np.ndarray:
     return v.reshape(d, d).copy()
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """The stack ``x`` as rows vec(x_n), its leading axes flattened."""
+    x = np.asarray(x, dtype=complex)
+    return x.reshape(-1, x.shape[-2] * x.shape[-1])
+
+
 def basis_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_n vec(x_n) vec(y_n)^T for equally long stacks of matrices.
 
@@ -151,9 +166,30 @@ def basis_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     matrices the sum is a single d^2 x n by n x d^2 matrix product. Read
     as a (d, d, d, d) tensor it is T[i,j,k,l] = sum_n x_n[i,j] y_n[k,l].
     """
-    x = np.asarray(x, dtype=complex)
-    rows = x.reshape(-1, x.shape[-2] * x.shape[-1])
-    return rows.T @ np.asarray(y, dtype=complex).reshape(len(rows), -1)
+    return _rows(x).T @ _rows(y)
+
+
+def hs_gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """G[m, n] = Tr(x_m^dag y_n), one matrix product.
+
+    The result has the leading axes of ``x`` followed by those of ``y``,
+    so a basis stack against one matrix gives its expansion coefficients
+    and two single matrices give a 0-d array.
+    """
+    g = _rows(x).conj() @ _rows(y).T
+    return g.reshape(np.shape(x)[:-2] + np.shape(y)[:-2])
+
+
+def combine(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n c[..., n] x_n over the stack ``x``, one matrix product.
+
+    The result has the leading axes of ``c`` but its last, followed by
+    the matrix shape of ``x``.
+    """
+    c = np.asarray(c, dtype=complex)
+    rows = _rows(x)
+    out = c.reshape(-1, len(rows)) @ rows
+    return out.reshape(c.shape[:-1] + np.shape(x)[-2:])
 
 
 def kron_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,14 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import MatrixBasis, gellmann_basis
+from .bases import MatrixBasis, gellmann_y_elements
 from .linalg import (
     _as_two_party,
     _check_party,
     apply_superop,
     basis_sum,
+    combine,
     dagger,
     frob_norm,
+    hs_gram,
     kron_sum,
     partial_trace,
     product_sum,
@@ -106,8 +108,7 @@ def _check_square(a: np.ndarray, d: int, what: str = "operator") -> np.ndarray:
 def bloch_decompose(a: np.ndarray, basis: MatrixBasis) -> BlochVector:
     """Bloch coefficients b_jk = Tr(g_jk^dag A)."""
     a = _check_square(a, basis.d)
-    coeffs = np.einsum("nij,ij->n", basis.elements.conj(), a)
-    return BlochVector(basis.d, basis.kind, coeffs)
+    return BlochVector(basis.d, basis.kind, hs_gram(basis.elements, a))
 
 
 def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
@@ -119,7 +120,7 @@ def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
     n = basis.d * basis.d
     if coeffs.size != n:
         raise ValueError(f"expected {n} coefficients for d={basis.d}, got {coeffs.size}")
-    return np.einsum("n,nij->ij", coeffs, basis.elements) / basis.d
+    return combine(coeffs, basis.elements) / basis.d
 
 
 def trace_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
@@ -213,7 +214,7 @@ def _local_dim(n: int, what: str) -> int:
 
 
 def _check_hermitian(a: np.ndarray, tol: float, what: str) -> None:
-    if frob_norm(a - dagger(a)) > tol:
+    if not frob_norm(a - dagger(a)) <= tol:
         raise ValueError(f"{what} must be Hermitian within {tol:.1e}")
 
 
@@ -229,12 +230,6 @@ def state_inversion(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     return apply_superop(sandwich_sum(g, dagger(g) - g.conj()), a.conj()) / basis.d
 
 
-def _y_elements(d: int) -> np.ndarray:
-    """The antisymmetric (purely imaginary) Gell-Mann elements y_jk, j < k."""
-    b = gellmann_basis(d)
-    return np.stack([b.element(l, k) for k in range(d) for l in range(k + 1, d)])
-
-
 def state_inversion_y(a: np.ndarray) -> np.ndarray:
     """Single-party inversion via the antisymmetric elements only.
 
@@ -246,7 +241,7 @@ def state_inversion_y(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"state-inversion input must be square, got {a.shape}")
     d = a.shape[0]
     _check_hermitian(a, tolerance(d), "state-inversion input")
-    ys = _y_elements(d)
+    ys = gellmann_y_elements(d)
     return 2.0 * apply_superop(sandwich_sum(ys, ys), a.conj()) / d
 
 
@@ -265,7 +260,7 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
         raise ValueError(f"two-party operator must be square, got {b.shape}")
     d = _local_dim(b.shape[0], "two-party operator size")
     _check_hermitian(b, tolerance(d * d), "state-inversion input")
-    ys = _y_elements(d)
+    ys = gellmann_y_elements(d)
     s = sandwich_sum(ys, ys)
     inverted = _two_sided(s, _two_sided(s, b.conj(), d, _PARTY_AXES[2]), d, _PARTY_AXES[1])
     return 4.0 * inverted / d**2
@@ -281,7 +276,7 @@ def concurrence_squared(psi: np.ndarray) -> float:
     psi = np.asarray(psi, dtype=complex).ravel()
     d = _local_dim(psi.size, "state vector length")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tolerance(d):
+    if not abs(norm - 1.0) <= tolerance(d):
         raise ValueError(f"state vector must be normalized, got norm {norm!r}")
     projector = np.outer(psi, psi.conj())
     inverted = state_inversion_two(projector)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import BasisSplit, MatrixBasis, check_dim, split_diag_offdiag
-from .linalg import dagger, kron_sum
+from .linalg import combine, dagger, kron_sum
 from .transforms import to_standard
 
 __all__ = [
@@ -107,6 +107,4 @@ def coherent_expansion(basis: MatrixBasis) -> np.ndarray:
     :func:`hsbasis.transforms.to_standard`; no index pair occurs twice,
     so the coefficients of U appear explicitly.
     """
-    u = to_standard(basis)
-    coeffs = u.coeffs.conj().sum(axis=1)
-    return np.einsum("n,nij->ij", coeffs, basis.elements)
+    return combine(to_standard(basis).coeffs.conj().sum(axis=1), basis.elements)

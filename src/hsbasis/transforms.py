@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import BasisSplit, MatrixBasis, validate_basis
-from .linalg import tolerance
+from .linalg import hs_gram, tolerance
 
 __all__ = [
     "BasisChange",
@@ -80,10 +80,7 @@ def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:
         )
     _require_valid(target, "target")
     _require_valid(source, "source")
-    coeffs = (
-        np.einsum("qij,rij->rq", source.elements.conj(), target.elements) / target.d
-    )
-    return BasisChange(target.d, coeffs)
+    return BasisChange(target.d, hs_gram(source.elements, target.elements).T / target.d)
 
 
 def to_standard(basis: MatrixBasis) -> BasisChange:
@@ -123,11 +120,8 @@ def block_structure(u: BasisChange, split: BasisSplit) -> BlockStructure | None:
     if len(diag_rows) != d or len(off_rows) != d * (d - 1):
         return None
     c = u.coeffs
-    leakage = 0.0
-    if off_cols:
-        leakage = max(leakage, float(np.abs(c[np.ix_(diag_rows, off_cols)]).max()))
-        leakage = max(leakage, float(np.abs(c[np.ix_(off_rows, diag_cols)]).max()))
-    if leakage > tolerance(d):
+    cross = (c[np.ix_(diag_rows, off_cols)], c[np.ix_(off_rows, diag_cols)])
+    if not np.abs(np.concatenate(cross, axis=None)).max(initial=0.0) <= tolerance(d):
         return None
     return BlockStructure(
         diagonal=c[np.ix_(diag_rows, diag_cols)].copy(),

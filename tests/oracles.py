@@ -163,3 +163,14 @@ def sandwich_loops(x, a, y):
                     for l in range(d):
                         out[i, l] += x[n][i, j] * a[j, k] * y[n][k, l]
     return out
+
+
+def combine_loops(c, x):
+    """sum_n c[n] x_n for a coefficient vector c, via explicit index loops."""
+    d = len(x[0])
+    out = np.zeros((d, d), dtype=complex)
+    for n in range(len(x)):
+        for i in range(d):
+            for j in range(d):
+                out[i, j] += c[n] * x[n][i, j]
+    return out

@@ -167,6 +167,10 @@ class TestRotatedBasis:
         with pytest.raises(ValueError, match="coefficient matrix"):
             rotated_basis(gellmann_basis(2), np.eye(9))
 
+    def test_nan_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            rotated_basis(weyl_basis(2), np.full((4, 4), np.nan))
+
 
 class TestSplitDiagOffdiag:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from hsbasis.bases import gellmann_basis, weyl_basis
+from hsbasis.bases import MatrixBasis, gellmann_basis, weyl_basis
 from hsbasis.fileio import (
     FormatError,
     basis_from_dict,
@@ -132,3 +134,52 @@ class TestBasisFormat:
         assert doc["d"] == 2
         assert len(doc["elements"]) == 4
         assert doc["elements"][0]["rows"] == 2
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _entries(count):
+    return st.lists(st.tuples(FINITE, FINITE), min_size=count, max_size=count).map(
+        lambda pairs: np.array([complex(re, im) for re, im in pairs])
+    )
+
+
+@st.composite
+def _matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(_entries(rows * cols)).reshape(rows, cols)
+
+
+@st.composite
+def _bases(draw):
+    d = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["custom", "standard", "gellmann", "weyl"]))
+    return MatrixBasis(d, draw(_entries(d**4)).reshape(d * d, d, d), kind)
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+# no explain phase: it line-traces the pure-Python JSON encoder and takes minutes on a failure
+@settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    max_examples=40,
+    phases=[p for p in Phase if p is not Phase.explain],
+)
+@given(m=_matrices(), b=_bases())
+def test_files_round_trip_bit_exactly(folder, m, b):
+    """Every finite double, signed zeros and subnormals included, survives a save and a load."""
+    save_matrix(m, folder / "m.json")
+    save_basis(b, folder / "b.json")
+    m_back, b_back = load_matrix(folder / "m.json"), load_basis(folder / "b.json")
+    matrix_same = m_back.shape == m.shape and m_back.tobytes() == m.tobytes()
+    basis_same = (b_back.d, b_back.kind) == (b.d, b.kind) and (
+        b_back.elements.tobytes() == b.elements.tobytes()
+    )
+    assert matrix_same
+    assert basis_same

@@ -6,7 +6,9 @@ import pytest
 from hsbasis.linalg import (
     apply_superop,
     basis_sum,
+    combine,
     devectorize,
+    hs_gram,
     hs_inner,
     kron_sum,
     partial_trace,
@@ -89,6 +91,11 @@ class TestHsInner:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             hs_inner(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="two matrices"):
+            hs_inner(np.ones(shape), np.ones(shape))
 
 
 class TestPartialTrace:
@@ -265,3 +272,52 @@ class TestSandwichKernel:
         expected = sum(on_party[left](xn) @ b @ on_party[right](yn) for xn, yn in zip(x, y))
         got = apply_superop(sandwich_sum(x, y), b.reshape(d, d, d, d), axes)
         assert np.allclose(got.reshape(d * d, d * d), expected, atol=1e-12)
+
+
+class TestHsGramKernel:
+    """hs_gram and combine against loops over random stacks and coefficients."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_single_matrix(self, d):
+        rng = np.random.default_rng(80 + d)
+        a, b = oracles.random_matrix(d, rng), oracles.random_matrix(d, rng)
+        gram = hs_gram(a, b)
+        assert gram.shape == ()
+        assert np.isclose(gram, oracles.hs_inner_loops(a, b), atol=1e-12)
+        c = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        assert np.allclose(combine(c, a[None]), c[0] * a, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_stack(self, d, count):
+        rng = np.random.default_rng(90 + 10 * d + count)
+        x, y = _random_stack(count, d, rng), _random_stack(count + 1, d, rng)
+        a = oracles.random_matrix(d, rng)
+        gram = hs_gram(x, y)
+        assert gram.shape == (count, count + 1)
+        expected = np.array([[oracles.hs_inner_loops(p, q) for q in y] for p in x])
+        assert np.allclose(gram, expected, atol=1e-12)
+        assert np.allclose(hs_gram(x, x), oracles.gram_loops(x), atol=1e-12)
+        coeffs = hs_gram(x, a)  # a stack against one matrix: its coefficients
+        assert coeffs.shape == (count,)
+        assert np.allclose(coeffs, [oracles.hs_inner_loops(p, a) for p in x], atol=1e-12)
+        assert hs_gram(a, x).shape == (count,)
+        c = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        assert combine(c, x).shape == (d, d)
+        assert np.allclose(combine(c, x), oracles.combine_loops(c, x), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coefficient_matrix(self, d):
+        rng = np.random.default_rng(100 + d)
+        x = _random_stack(d * d, d, rng)
+        c = oracles.random_matrix(d * d, rng)[:3]
+        out = combine(c, x)
+        assert out.shape == (3, d, d)
+        for got, row in zip(out, c):
+            assert np.allclose(got, oracles.combine_loops(row, x), atol=1e-12)
+
+    def test_expansion_round_trip(self):
+        rng = np.random.default_rng(110)
+        g = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        a = oracles.random_matrix(2, rng)
+        assert np.allclose(combine(hs_gram(g, a), g) / 2, a, atol=1e-14)

@@ -388,6 +388,10 @@ class TestStateInversion:
         with pytest.raises(ValueError, match="Hermitian"):
             state_inversion_y(oracles.random_matrix(3, rng))
 
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            state_inversion(np.full((2, 2), np.nan), weyl_basis(2))
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_preserves_positivity(self, d):
         rng = np.random.default_rng(70 + d)
@@ -458,11 +462,11 @@ class TestConcurrence:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_y_sum_formula(self, d):
-        from hsbasis.maps import _y_elements
+        from hsbasis.bases import gellmann_y_elements
 
         rng = np.random.default_rng(90 + d)
         psi = oracles.random_state(d * d, rng)
-        ys = _y_elements(d)
+        ys = gellmann_y_elements(d)
         total = 0.0
         for yl in ys:
             for yr in ys:
@@ -491,6 +495,10 @@ class TestConcurrence:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             concurrence_squared(np.ones(4))
+
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            concurrence_squared(np.array([np.nan, 0, 0, 0]))
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError, match="length"):

@@ -4,24 +4,32 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsbasis.bases import (
     BasisSplit,
     MatrixBasis,
     gellmann_basis,
     random_basis,
+    random_unitary,
     rotated_basis,
     split_diag_offdiag,
     standard_basis,
+    validate_basis,
     weyl_basis,
 )
 from hsbasis.linalg import tolerance
+from hsbasis.maps import bloch_decompose, bloch_reconstruct
 from hsbasis.transforms import (
+    BasisChange,
     block_structure,
     change_of_basis,
     from_standard,
     to_standard,
 )
+
+import oracles
 
 BUILTINS = [standard_basis, gellmann_basis, weyl_basis]
 
@@ -152,3 +160,28 @@ class TestBlockStructure:
             offdiagonal=(split.diagonal[1],) + split.offdiagonal[1:],
         )
         assert block_structure(to_standard(b), scrambled) is None
+
+    def test_nan_leakage_fails(self):
+        b = gellmann_basis(3)
+        split = split_diag_offdiag(b)
+        coeffs = to_standard(b).coeffs.copy()
+        coeffs[split.offdiagonal[0], 0] = np.nan  # column 0 is the standard element (0, 0)
+        assert block_structure(BasisChange(3, coeffs), split) is None
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    d=st.integers(2, 5),
+    builder=st.sampled_from(BUILTINS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_haar_rotation_is_an_orthogonal_basis_change(d, builder, seed):
+    """h = U g is orthogonal, change_of_basis recovers U, and h expands any A exactly."""
+    basis = builder(d)
+    u = random_unitary(d * d, seed)
+    rotated = rotated_basis(basis, u)
+    assert validate_basis(rotated).all_passed
+    assert np.linalg.norm(change_of_basis(rotated, basis).coeffs - u) <= tolerance(d)
+    a = oracles.random_matrix(d, np.random.default_rng([2, seed]))
+    restored = bloch_reconstruct(bloch_decompose(a, rotated), rotated)
+    assert np.linalg.norm(restored - a) <= tolerance(d)
