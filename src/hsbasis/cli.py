@@ -2,7 +2,8 @@
 
 Subcommands: build, verify, transform, map, choi, concurrence,
 decompose. Exit codes: 0 on success (verify: all identities pass), 1
-when any identity fails, 2 on usage or input-format errors. Machine
+when any identity fails, 2 on usage or input-format errors, including
+a basis whose sums overflow to a non-finite residual. Machine
 reports are versioned JSON documents; two runs with the same
 configuration and the same BLAS thread count produce byte-identical
 output. At d >= 12 some residuals differ in the last digit between 1
@@ -114,7 +115,14 @@ def _cmd_verify(args) -> int:
         ids = [coerce_identity_id(name) for name in args.ids.split(",") if name]
         if not ids:
             raise ValueError("--ids must name at least one identity")
-    report = run_catalogue(basis, ids=ids, seed=args.seed)
+    with np.errstate(all="ignore"):
+        report = run_catalogue(basis, ids=ids, seed=args.seed)
+    for c in report.checks:
+        if not np.isfinite(c.residual):
+            raise ValueError(
+                f"identity {c.id} has a non-finite residual; the basis sums overflow "
+                "double precision"
+            )
     if args.report == "machine":
         config = {
             "command": "verify",

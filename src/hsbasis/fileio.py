@@ -87,6 +87,8 @@ def _read_json(path) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(obj, path) -> None:

@@ -19,6 +19,14 @@ rule (A (x) B)(C (x) D) = AC (x) BD into sums over single elements:
   and applied to the y stack in O(d^6);
 - the trace-weighted sums go through M[m,n] = Tr(g_m g_n), one
   d^2 x d^2 matrix product, O(d^6).
+
+Every sum of both kinds is one of two basis sums, K_swap = sum g (x) g^dag
+and K_bell = sum g (x) g^*, or an O(d^4) index permutation of one: SWAP
+conjugation exchanges the factors, sum y (x) x = SWAP (sum x (x) y) SWAP,
+and the superoperator sum x (x) z^T of S is K_swap for (x, z) = (g, g^*),
+K_bell for (g, g^dag), and (SWAP K_bell SWAP)^T for (g^dag, g). A run
+builds K_swap, K_bell and M once each, on first use, together with SWAP
+and the Bell projector.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections.abc import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -39,13 +48,12 @@ from .linalg import (
     kron_sum,
     partial_trace,
     product_sum,
-    sandwich_sum,
     scalar_tolerance,
     tensor,
     tolerance,
 )
 from .maps import bloch_decompose
-from .operators import bell_expansion, bell_projector, swap_expansion, swap_operator
+from .operators import bell_projector, swap_operator
 from .report import IdentityCheck, IdentityReport
 
 __all__ = ["IdentityId", "check_identity", "run_catalogue", "DEFAULT_SEED"]
@@ -76,35 +84,64 @@ class IdentityId(enum.Enum):
 
 
 class _Operands:
-    """What the catalogue entries share, derived once per check."""
+    """What the catalogue entries share, derived once per run.
 
-    def __init__(self, basis: MatrixBasis, rng: np.random.Generator) -> None:
+    The basis sums and the fixed operators are computed on first use, so a
+    run builds only those its entries need, and each at most once.
+    """
+
+    def __init__(self, basis: MatrixBasis, seed: int) -> None:
         self.basis = basis
         self.d = basis.d
         self.g = basis.elements
         self.gc = self.g.conj()
         self.gd = dagger(self.g)
         self.tr = np.einsum("nii->n", self.g)
-        self.rng = rng
+        self.seed = seed
 
-    def random(self) -> np.ndarray:
-        """A d x d complex Gaussian matrix drawn from the check's generator."""
+    @cached_property
+    def k_swap(self) -> np.ndarray:
+        """sum g (x) g^dag; also the superoperator sandwich_sum(g, g^*)."""
+        return kron_sum(self.g, self.gd)
+
+    @cached_property
+    def k_bell(self) -> np.ndarray:
+        """sum g (x) g^*; also the superoperator sandwich_sum(g, g^dag)."""
+        return kron_sum(self.g, self.gc)
+
+    @cached_property
+    def k_bell_swapped(self) -> np.ndarray:
+        """sum g^* (x) g = SWAP k_bell SWAP; its transpose is sandwich_sum(g^dag, g)."""
+        return _swap_conjugate(self.k_bell, self.d)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """M[m,n] = Tr(g_m g_n)."""
+        return _trace_gram(self.g)
+
+    @cached_property
+    def swap(self) -> np.ndarray:
+        return swap_operator(self.d)
+
+    @cached_property
+    def bell(self) -> np.ndarray:
+        return bell_projector(self.d)
+
+    def random(self, n: int) -> list[np.ndarray]:
+        """n d x d complex Gaussian matrices from a fresh generator on the run's seed."""
+        rng = np.random.default_rng(self.seed)
         shape = (self.d, self.d)
-        return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
+        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)]
 
 
-def _pair_kron_sum(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """sum_mn x_m y_n (x) z_m w_n = (sum_m x_m (x) z_m)(sum_n y_n (x) w_n)."""
-    return kron_sum(x, z) @ kron_sum(y, w)
+def _swap_conjugate(k: np.ndarray, d: int) -> np.ndarray:
+    """SWAP k SWAP, which turns sum x (x) y into sum y (x) x, as an index permutation."""
+    return k.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def _pair_product_sum(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with S(Y) = sum_m x_m Y z_m."""
-    return product_sum(apply_superop(sandwich_sum(x, z), y), w)
+def _pair_product_sum(sandwich: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n, given S = sandwich_sum(x, z)."""
+    return product_sum(apply_superop(sandwich, y), w)
 
 
 def _trace_gram(x: np.ndarray) -> np.ndarray:
@@ -112,10 +149,9 @@ def _trace_gram(x: np.ndarray) -> np.ndarray:
     return hs_gram(x.conj(), np.swapaxes(x, -1, -2))
 
 
-def _trace_weighted_pair_sum(x: np.ndarray) -> np.ndarray:
-    """sum_mn Tr(x_m x_n) (x_m x_n)^* = sum_m x_m^* (sum_n M[m,n] x_n^*)."""
-    xc = x.conj()
-    return product_sum(xc, combine(_trace_gram(x), xc))
+def _trace_weighted_pair_sum(xc: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_mn M[m,n] (x_m x_n)^* = sum_m x_m^* (sum_n M[m,n] x_n^*), given xc = x^*."""
+    return product_sum(xc, combine(m, xc))
 
 
 def _distance(lhs, rhs) -> float:
@@ -125,14 +161,15 @@ def _distance(lhs, rhs) -> float:
     return frob_norm(np.subtract(lhs, rhs))
 
 
-def _trswap_choi(a: np.ndarray, b: np.ndarray) -> float:
-    d = len(a)
-    return _distance(partial_trace(tensor(a, b) @ swap_operator(d), 2, d), a @ b)
+def _trswap_choi(s: _Operands) -> float:
+    a, b = s.random(2)
+    return _distance(partial_trace(tensor(a, b) @ s.swap, 2, s.d), a @ b)
 
 
-def _purity_link(b: np.ndarray, basis: MatrixBasis) -> float:
-    via_swap = complex(np.trace(tensor(dagger(b), b) @ swap_operator(basis.d)))
-    via_bloch = bloch_decompose(b, basis).squared_length
+def _purity_link(s: _Operands) -> float:
+    (b,) = s.random(1)
+    via_swap = complex(np.trace(tensor(dagger(b), b) @ s.swap))
+    via_bloch = bloch_decompose(b, s.basis).squared_length
     purity = float(np.vdot(b, b).real)
     return max(abs(x - y) for x, y in itertools.combinations((via_swap, via_bloch, purity), 2))
 
@@ -142,7 +179,7 @@ _CATALOGUE = {
     # two-factor sums
     IdentityId.SWAP_EXPANSION: (
         "SWAP == (1/d) sum g (x) g^dag",
-        lambda s: _distance(swap_expansion(s.basis), swap_operator(s.d)),
+        lambda s: _distance(s.k_swap / s.d, s.swap),
         tolerance,
     ),
     IdentityId.GG_DAGGER_SUM: (
@@ -162,7 +199,7 @@ _CATALOGUE = {
     ),
     IdentityId.BELL_EXPANSION: (
         "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        lambda s: _distance(bell_expansion(s.basis), bell_projector(s.d)),
+        lambda s: _distance(s.k_bell / s.d**2, s.bell),
         tolerance,
     ),
     IdentityId.GG_CONJ_SUM: (
@@ -178,57 +215,53 @@ _CATALOGUE = {
     # four-factor sums over pairs (a,b), (j,k)
     IdentityId.IDENTITY_4OP_TENSOR: (
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _distance(_pair_kron_sum(s.gd, s.g, s.g, s.gd) / s.d**2, 1),
+        lambda s: _distance(_swap_conjugate(s.k_swap, s.d) @ s.k_swap / s.d**2, 1),
         tolerance,
     ),
     IdentityId.FOUROPS_1: (
         "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        lambda s: _distance(_pair_product_sum(s.gd, s.g, s.g, s.gd), s.d**2),
+        lambda s: _distance(_pair_product_sum(s.k_bell_swapped.T, s.g, s.gd), s.d**2),
         tolerance,
     ),
     IdentityId.FOUROPS_2: (
         "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        lambda s: _distance(_pair_product_sum(s.g, s.g, s.gc, s.gc), s.d**3),
+        lambda s: _distance(_pair_product_sum(s.k_swap, s.g, s.gc), s.d**3),
         tolerance,
     ),
     IdentityId.FOUROPS_3: (
         "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        lambda s: _distance(_pair_product_sum(s.g, s.gc, s.gd, s.g), s.d**2),
+        lambda s: _distance(_pair_product_sum(s.k_bell, s.gc, s.g), s.d**2),
         tolerance,
     ),
     IdentityId.BELLBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        lambda s: _distance(
-            _pair_kron_sum(s.g, s.g, s.gc, s.gc) / s.d**4, bell_projector(s.d)
-        ),
+        lambda s: _distance(s.k_bell @ s.k_bell / s.d**4, s.bell),
         tolerance,
     ),
     IdentityId.SWAPBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        lambda s: _distance(
-            _pair_kron_sum(s.g, s.gc, s.gd, s.g) / s.d**3, bell_projector(s.d)
-        ),
+        lambda s: _distance(s.k_swap @ s.k_bell_swapped / s.d**3, s.bell),
         tolerance,
     ),
     IdentityId.TR1_BELLBELL: (
         "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
-        lambda s: _distance(_trace_weighted_pair_sum(s.g), s.d**3),
+        lambda s: _distance(_trace_weighted_pair_sum(s.gc, s.m), s.d**3),
         tolerance,
     ),
     IdentityId.TR12_BELLBELL: (
         "sum |Tr(g_ab g_jk)|^2 == d^4",
-        lambda s: _distance(np.sum(np.abs(_trace_gram(s.g)) ** 2), float(s.d) ** 4),
+        lambda s: _distance(np.sum(np.abs(s.m) ** 2), float(s.d) ** 4),
         scalar_tolerance,
     ),
-    # seeded random-operator checks
+    # seeded random-operator checks, each on its own generator
     IdentityId.TRSWAP_CHOI: (
         "Tr_2(A (x) B SWAP) == A B for random A, B",
-        lambda s: _trswap_choi(s.random(), s.random()),
+        _trswap_choi,
         tolerance,
     ),
     IdentityId.PURITY_LINK: (
         "Tr(B^dag (x) B SWAP) == (1/d) sum |b_jk|^2 == Tr(B^dag B)",
-        lambda s: _purity_link(s.random(), s.basis),
+        _purity_link,
         scalar_tolerance,
     ),
 }
@@ -253,10 +286,13 @@ def check_identity(
     The seed only affects the identities that draw random operators
     (TRSWAP_CHOI, PURITY_LINK); results are deterministic given the seed.
     """
-    identity = coerce_identity_id(identity)
+    return _check(coerce_identity_id(identity), _Operands(basis, seed))
+
+
+def _check(identity: IdentityId, operands: _Operands) -> IdentityCheck:
     description, residual_of, tolerance_of = _CATALOGUE[identity]
-    residual = float(residual_of(_Operands(basis, np.random.default_rng(seed))))
-    tol = float(tolerance_of(basis.d))
+    residual = float(residual_of(operands))
+    tol = float(tolerance_of(operands.d))
     return IdentityCheck(
         id=identity.value,
         description=description,
@@ -271,9 +307,13 @@ def run_catalogue(
     ids: Iterable | None = None,
     seed: int = DEFAULT_SEED,
 ) -> IdentityReport:
-    """Run the whole catalogue (or a subset) and collect the residuals."""
+    """Run the whole catalogue (or a subset) and collect the residuals.
+
+    The entries share one set of operands, so each basis sum is built once.
+    """
     if ids is None:
         selected = list(IdentityId)
     else:
         selected = [coerce_identity_id(i) for i in ids]
-    return IdentityReport(tuple(check_identity(i, basis, seed=seed) for i in selected))
+    operands = _Operands(basis, seed)
+    return IdentityReport(tuple(_check(i, operands) for i in selected))

@@ -7,10 +7,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hsbasis
 from hsbasis import cli
-from hsbasis.bases import MatrixBasis, gellmann_basis
+from hsbasis.bases import MatrixBasis, gellmann_basis, weyl_basis
 from hsbasis.cli import main
 from hsbasis.fileio import basis_to_dict, load_matrix, save_basis, save_matrix
 from hsbasis.identities import IdentityId
@@ -262,6 +263,67 @@ class TestErrorPaths:
         assert code == 2
         assert captured.out == ""
         assert '"elements"[1]: field "entries"[2] must be finite' in captured.err
+
+    @staticmethod
+    def _deep_json(tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        return path
+
+    @staticmethod
+    def _huge_basis(tmp_path):
+        # finite entries whose products overflow to inf inside the basis sums
+        path = tmp_path / "huge.json"
+        save_basis(MatrixBasis(2, 1e300 * np.array(weyl_basis(2).elements)), path)
+        return path
+
+    def _assert_one_error_line(self, code, captured, *fragments):
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("hsbasis: ") and captured.err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in captured.err
+
+    def test_deeply_nested_matrix_file_exits_2(self, tmp_path, capsys):
+        code = run(
+            "map", "pt", "--dim", "2", "--basis", "gellmann",
+            "--input", str(self._deep_json(tmp_path)), "--out", str(tmp_path / "o.json"),
+        )
+        self._assert_one_error_line(code, capsys.readouterr(), "nested too deeply")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("report", ["text", "machine"])
+    def test_deeply_nested_basis_file_exits_2(self, tmp_path, capsys, report):
+        spec = f"file:{self._deep_json(tmp_path)}"
+        code = run("verify", "--basis", spec, "--report", report)
+        self._assert_one_error_line(code, capsys.readouterr(), "nested too deeply")
+
+    @pytest.mark.parametrize("report", ["text", "machine"])
+    def test_overflowing_basis_exits_2_in_both_report_modes(self, tmp_path, capsys, report):
+        spec = f"file:{self._huge_basis(tmp_path)}"
+        code = run("verify", "--basis", spec, "--report", report)
+        self._assert_one_error_line(
+            code, capsys.readouterr(), "swap_expansion", "non-finite residual"
+        )
+
+    @pytest.mark.parametrize("report", ["text", "machine"])
+    @pytest.mark.parametrize("make_input", ["_deep_json", "_huge_basis"])
+    def test_hostile_basis_files_under_warnings_as_errors(self, tmp_path, make_input, report):
+        spec = f"file:{getattr(self, make_input)(tmp_path)}"
+        env = dict(os.environ)
+        src = str(Path(hsbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hsbasis", "verify", "--basis", spec,
+             "--report", report],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("hsbasis: ") and proc.stderr.count("\n") == 1
 
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         def exhausted(args):

@@ -1,5 +1,7 @@
 """Tests for the executable identity catalogue."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,18 @@ from hsbasis.bases import (
     standard_basis,
     weyl_basis,
 )
+from hsbasis import identities
 from hsbasis.identities import (
     IdentityId,
-    _pair_kron_sum,
+    _Operands,
     _pair_product_sum,
+    _swap_conjugate,
     _trace_gram,
     _trace_weighted_pair_sum,
     check_identity,
     run_catalogue,
 )
-from hsbasis.linalg import product_sum, tolerance
+from hsbasis.linalg import apply_superop, kron_sum, product_sum, sandwich_sum, tolerance
 from hsbasis.maps import trace_map
 from hsbasis.operators import bell_projector
 
@@ -226,8 +230,18 @@ class TestFourFactorKernels:
         rng = np.random.default_rng(10 * d + n)
         x, y, z, w = (_random_stack(n, d, rng) for _ in range(4))
         product, kron = oracles.four_factor_loops(x, y, z, w)
-        assert _close(_pair_product_sum(x, y, z, w), product)
-        assert _close(_pair_kron_sum(x, y, z, w), kron)
+        assert _close(_pair_product_sum(sandwich_sum(x, z), y, w), product)
+        assert _close(kron_sum(x, z) @ kron_sum(y, w), kron)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_swap_conjugate_exchanges_the_factors(self, d, n):
+        rng = np.random.default_rng(40 * d + n)
+        x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
+        swapped = sum(oracles.kron_loops(y[a], x[a]) for a in range(n))
+        assert _close(_swap_conjugate(kron_sum(x, y), d), swapped)
+        swap = oracles.swap_loops(d)
+        assert _close(_swap_conjugate(kron_sum(x, y), d), swap @ kron_sum(x, y) @ swap)
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -249,7 +263,7 @@ class TestFourFactorKernels:
         assert np.sum(np.abs(_trace_gram(x)) ** 2) == pytest.approx(
             sum(abs(v) ** 2 for v in m.ravel()), rel=1e-12
         )
-        assert _close(_trace_weighted_pair_sum(x), weighted)
+        assert _close(_trace_weighted_pair_sum(x.conj(), _trace_gram(x)), weighted)
 
 
 def _pair_stack_residuals(g, d):
@@ -291,6 +305,10 @@ def test_four_factor_entries_on_non_orthogonal_basis():
         assert check.residual == pytest.approx(expected, rel=1e-12), identity
         assert check.passed == (expected <= check.tolerance), identity
         assert not check.passed, identity
+    report = {c.id: c for c in run_catalogue(basis, ids=list(reference))}
+    for identity, expected in reference.items():
+        assert report[identity.value].residual == pytest.approx(expected, rel=1e-12), identity
+        assert not report[identity.value].passed, identity
 
 
 @pytest.mark.parametrize(
@@ -305,3 +323,117 @@ def test_four_factor_entries_on_non_orthogonal_basis():
 def test_catalogue_tolerance_holds_at_large_d(make_basis):
     report = run_catalogue(make_basis(), seed=4)
     assert report.all_passed, [c.id for c in report.failures]
+
+
+def _haar_rotated_weyl(d):
+    return rotated_basis(weyl_basis(d), random_unitary(d * d, 900 + d))
+
+
+def _random_elements_basis(d):
+    rng = np.random.default_rng(950 + d)
+    return MatrixBasis(d, _random_stack(d * d, d, rng))
+
+
+SHARED_BASES = {
+    "standard": standard_basis,
+    "gellmann": gellmann_basis,
+    "weyl": weyl_basis,
+    "random": lambda d: random_basis(d, 800 + d),
+    "haar_weyl": _haar_rotated_weyl,
+}
+
+# kron_sum calls each entry makes on its own: K_swap for the SWAP family,
+# K_bell for the Bell family, both for swapbell, none for the rest
+KRON_SUMS_ALONE = {
+    IdentityId.SWAP_EXPANSION: 1,
+    IdentityId.BELL_EXPANSION: 1,
+    IdentityId.IDENTITY_4OP_TENSOR: 1,
+    IdentityId.FOUROPS_1: 1,
+    IdentityId.FOUROPS_2: 1,
+    IdentityId.FOUROPS_3: 1,
+    IdentityId.BELLBELL_TENSOR: 1,
+    IdentityId.SWAPBELL_TENSOR: 2,
+}
+
+
+class TestSharedOperands:
+    """One operand set per run: two basis sums, one trace Gram, the rest by permutation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("kron_sum", "_trace_gram", "swap_operator", "bell_projector"), 0)
+        for name in counts:
+            original = getattr(identities, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(identities, name, counted)
+        return counts
+
+    def test_full_run_builds_each_operand_once(self, calls):
+        report = run_catalogue(weyl_basis(3))
+        assert report.all_passed
+        assert calls == {"kron_sum": 2, "_trace_gram": 1, "swap_operator": 1, "bell_projector": 1}
+
+    def test_any_subset_builds_each_operand_at_most_once(self, calls):
+        subsets = [[i] for i in ALL_IDS] + [list(p) for p in itertools.combinations(ALL_IDS, 2)]
+        subsets.append(ALL_IDS[::-1])
+        for subset in subsets:
+            for name in calls:
+                calls[name] = 0
+            run_catalogue(gellmann_basis(2), ids=subset)
+            assert calls["kron_sum"] <= 2, subset
+            assert calls["_trace_gram"] <= 1 and calls["swap_operator"] <= 1, subset
+            assert calls["bell_projector"] <= 1, subset
+
+    @pytest.mark.parametrize("identity", ALL_IDS, ids=lambda i: i.value)
+    def test_single_check_builds_only_its_operands(self, calls, identity):
+        check_identity(identity, weyl_basis(3))
+        assert calls["kron_sum"] == KRON_SUMS_ALONE.get(identity, 0)
+        uses_m = identity in (IdentityId.TR1_BELLBELL, IdentityId.TR12_BELLBELL)
+        assert calls["_trace_gram"] == int(uses_m)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_derived_operands_match_loops_on_a_non_orthogonal_stack(self, d):
+        # random elements obey no orthogonality relation, so a wrong permutation,
+        # transpose or conjugate in a derived operand cannot cancel out
+        s = _Operands(_random_elements_basis(d), 0)
+        g, gc, gd = s.g, s.gc, s.gd
+        swapped = [(_swap_conjugate(s.k_swap, d), gd, g), (s.k_bell_swapped, gc, g)]
+        for got, x, y in swapped:
+            assert _close(got, sum(oracles.kron_loops(a, b) for a, b in zip(x, y)))
+        a = oracles.random_matrix(d, np.random.default_rng(d))
+        sandwiches = [(s.k_swap, g, gc), (s.k_bell, g, gd), (s.k_bell_swapped.T, gd, g)]
+        for superop, x, y in sandwiches:
+            assert _close(apply_superop(superop, a), oracles.sandwich_loops(x, a, y))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_catalogue_matches_pair_loops_on_random_elements(self, d):
+        basis = _random_elements_basis(d)
+        report = {c.id: c for c in run_catalogue(basis)}
+        for identity, expected in _pair_stack_residuals(basis.elements, d).items():
+            assert report[identity.value].residual == pytest.approx(expected, rel=1e-12), identity
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("kind", SHARED_BASES)
+    def test_run_agrees_with_single_checks(self, kind, d):
+        basis = SHARED_BASES[kind](d)
+        report = run_catalogue(basis, seed=2)
+        assert [c.id for c in report.checks] == [i.value for i in ALL_IDS]
+        for shared, identity in zip(report.checks, ALL_IDS):
+            alone = check_identity(identity, basis, seed=2)
+            assert shared.passed == alone.passed, identity
+            assert abs(shared.residual - alone.residual) <= 1e-4 * alone.tolerance, identity
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_seeded_entries_bit_identical_in_any_run(self, d):
+        basis = random_basis(d, 850 + d)
+        seeded = [IdentityId.TRSWAP_CHOI, IdentityId.PURITY_LINK]
+        alone = {i: check_identity(i, basis, seed=11).residual for i in seeded}
+        runs = [seeded, seeded[::-1], ALL_IDS, ALL_IDS[::-1]]
+        for ids in runs:
+            got = {c.id: c.residual for c in run_catalogue(basis, ids=ids, seed=11)}
+            for i in seeded:
+                assert got[i.value] == alone[i], (ids, i)
