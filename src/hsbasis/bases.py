@@ -13,10 +13,11 @@ Haar-random rotations of any of them for testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import combine, dagger, frob_norm, hs_gram, tolerance
+from .linalg import combine, dagger, frob_norm, hs_gram, kron_sum, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -38,7 +39,8 @@ class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
     The element stack is made read-only on construction, so instances can
-    be shared freely.
+    be shared freely. The two basis sums the maps and expansions use are
+    built on first use and kept read-only: 16 d^4 bytes each.
     """
 
     d: int
@@ -57,6 +59,16 @@ class MatrixBasis:
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
 
+    @cached_property
+    def swap_sum(self) -> np.ndarray:
+        """sum g (x) g^dag = d SWAP; also the superoperator sandwich_sum(g, g^*)."""
+        return _read_only(kron_sum(self.elements, dagger(self.elements)))
+
+    @cached_property
+    def bell_sum(self) -> np.ndarray:
+        """sum g (x) g^* = d^2 |Phi+><Phi+|; also the superoperator sandwich_sum(g, g^dag)."""
+        return _read_only(kron_sum(self.elements, self.elements.conj()))
+
     def element(self, j: int, k: int) -> np.ndarray:
         return self.elements[j * self.d + k]
 
@@ -65,6 +77,11 @@ class MatrixBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -85,10 +102,8 @@ def standard_basis(d: int) -> MatrixBasis:
     """Matrix units scaled to the dimension-d normalization: e_jk = sqrt(d) |j><k|."""
     check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
-    root = np.sqrt(d)
-    for j in range(d):
-        for k in range(d):
-            el[j * d + k, j, k] = root
+    n = np.arange(d * d)
+    el[n, n // d, n % d] = np.sqrt(d)
     return MatrixBasis(d, el, "standard")
 
 
@@ -119,10 +134,9 @@ def gellmann_basis(d: int) -> MatrixBasis:
     ks, ls = np.triu_indices(d, 1)
     el[ks * d + ls, ks, ls] = el[ks * d + ls, ls, ks] = np.sqrt(d / 2.0)
     el[ls * d + ks] = gellmann_y_elements(d)
-    for l in range(1, d):
-        scale = np.sqrt(d / (l * (l + 1.0)))
-        el[l * d + l, range(l), range(l)] = scale
-        el[l * d + l, l, l] = -l * scale
+    l, j = np.arange(1, d)[:, None], np.arange(d)
+    scale = np.sqrt(d / (l * (l + 1.0)))
+    el[l * d + l, j, j] = np.where(j < l, scale, np.where(j == l, -l * scale, 0.0))
     return MatrixBasis(d, el, "gellmann")
 
 
@@ -137,16 +151,12 @@ def weyl_basis(d: int) -> MatrixBasis:
     (1,1) -> -i ZX = sigma_y.
     """
     check_dim(d)
-    el = np.zeros((d * d, d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            for col in range(d):
-                row = (col + k) % d
-                # Z^j X^k |col> = omega^(j*row) |row>, then the -jk/2 phase.
-                m[row, col] = np.exp(1j * np.pi * (2 * j * row - j * k) / d)
-            el[j * d + k] = m
-    return MatrixBasis(d, el, "weyl")
+    j, k, col = np.ogrid[:d, :d, :d]
+    row = (col + k) % d
+    el = np.zeros((d, d, d, d), dtype=complex)
+    # Z^j X^k |col> = omega^(j*row) |row>, then the -jk/2 phase.
+    el[j, k, row, col] = np.exp(1j * (np.pi * (2 * j * row - j * k) / d))
+    return MatrixBasis(d, el.reshape(d * d, d, d), "weyl")
 
 
 NAMED_BASES = {

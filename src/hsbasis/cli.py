@@ -163,18 +163,19 @@ def _cmd_map(args) -> int:
     return 0
 
 
+# name -> (element, basis) -> image under the map, built from the basis-sum maps
 _CHOI_ACTIONS = {
-    "identity": lambda g, d: g,
-    "transpose": lambda g, d: g.T,
-    "trace": lambda g, d: np.trace(g) * np.eye(d),
-    "inversion": lambda g, d: np.trace(g) * np.eye(d) - g,
+    "identity": lambda g, basis: g,
+    "transpose": transpose_map,
+    "trace": trace_map,
+    "inversion": lambda g, basis: trace_map(g, basis) - g,
 }
 
 
 def _cmd_choi(args) -> int:
     basis = _resolve_basis(args.basis, args.dim)
     action = _CHOI_ACTIONS[args.map]
-    superop: Superoperator = superop_from_action(lambda g: action(g, basis.d), basis)
+    superop: Superoperator = superop_from_action(lambda g: action(g, basis), basis)
     fileio.save_matrix(choi_state(superop, basis).matrix, args.out)
     return 0
 

@@ -24,9 +24,11 @@ Every sum of both kinds is one of two basis sums, K_swap = sum g (x) g^dag
 and K_bell = sum g (x) g^*, or an O(d^4) index permutation of one: SWAP
 conjugation exchanges the factors, sum y (x) x = SWAP (sum x (x) y) SWAP,
 and the superoperator sum x (x) z^T of S is K_swap for (x, z) = (g, g^*),
-K_bell for (g, g^dag), and (SWAP K_bell SWAP)^T for (g^dag, g). A run
-builds K_swap, K_bell and M once each, on first use, together with SWAP
-and the Bell projector.
+K_bell for (g, g^dag), and (SWAP K_bell SWAP)^T for (g^dag, g). The
+basis builds K_swap and K_bell once (:attr:`~hsbasis.bases.MatrixBasis.swap_sum`,
+:attr:`~hsbasis.bases.MatrixBasis.bell_sum`), shared with the maps and
+expansions on the same basis; a run builds M once, on first use,
+together with SWAP and the Bell projector.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .linalg import (
     dagger,
     frob_norm,
     hs_gram,
-    kron_sum,
     partial_trace,
     product_sum,
     scalar_tolerance,
@@ -86,8 +87,9 @@ class IdentityId(enum.Enum):
 class _Operands:
     """What the catalogue entries share, derived once per run.
 
-    The basis sums and the fixed operators are computed on first use, so a
-    run builds only those its entries need, and each at most once.
+    K_swap and K_bell are the basis's own sums; the other operands are
+    computed on first use, so a run builds only those its entries need,
+    and each at most once.
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
@@ -100,19 +102,9 @@ class _Operands:
         self.seed = seed
 
     @cached_property
-    def k_swap(self) -> np.ndarray:
-        """sum g (x) g^dag; also the superoperator sandwich_sum(g, g^*)."""
-        return kron_sum(self.g, self.gd)
-
-    @cached_property
-    def k_bell(self) -> np.ndarray:
-        """sum g (x) g^*; also the superoperator sandwich_sum(g, g^dag)."""
-        return kron_sum(self.g, self.gc)
-
-    @cached_property
     def k_bell_swapped(self) -> np.ndarray:
-        """sum g^* (x) g = SWAP k_bell SWAP; its transpose is sandwich_sum(g^dag, g)."""
-        return _swap_conjugate(self.k_bell, self.d)
+        """sum g^* (x) g = SWAP K_bell SWAP; its transpose is sandwich_sum(g^dag, g)."""
+        return _swap_conjugate(self.basis.bell_sum, self.d)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -179,7 +171,7 @@ _CATALOGUE = {
     # two-factor sums
     IdentityId.SWAP_EXPANSION: (
         "SWAP == (1/d) sum g (x) g^dag",
-        lambda s: _distance(s.k_swap / s.d, s.swap),
+        lambda s: _distance(s.basis.swap_sum / s.d, s.swap),
         tolerance,
     ),
     IdentityId.GG_DAGGER_SUM: (
@@ -199,7 +191,7 @@ _CATALOGUE = {
     ),
     IdentityId.BELL_EXPANSION: (
         "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        lambda s: _distance(s.k_bell / s.d**2, s.bell),
+        lambda s: _distance(s.basis.bell_sum / s.d**2, s.bell),
         tolerance,
     ),
     IdentityId.GG_CONJ_SUM: (
@@ -215,7 +207,7 @@ _CATALOGUE = {
     # four-factor sums over pairs (a,b), (j,k)
     IdentityId.IDENTITY_4OP_TENSOR: (
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _distance(_swap_conjugate(s.k_swap, s.d) @ s.k_swap / s.d**2, 1),
+        lambda s: _distance(_swap_conjugate(s.basis.swap_sum, s.d) @ s.basis.swap_sum / s.d**2, 1),
         tolerance,
     ),
     IdentityId.FOUROPS_1: (
@@ -225,22 +217,22 @@ _CATALOGUE = {
     ),
     IdentityId.FOUROPS_2: (
         "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        lambda s: _distance(_pair_product_sum(s.k_swap, s.g, s.gc), s.d**3),
+        lambda s: _distance(_pair_product_sum(s.basis.swap_sum, s.g, s.gc), s.d**3),
         tolerance,
     ),
     IdentityId.FOUROPS_3: (
         "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        lambda s: _distance(_pair_product_sum(s.k_bell, s.gc, s.g), s.d**2),
+        lambda s: _distance(_pair_product_sum(s.basis.bell_sum, s.gc, s.g), s.d**2),
         tolerance,
     ),
     IdentityId.BELLBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        lambda s: _distance(s.k_bell @ s.k_bell / s.d**4, s.bell),
+        lambda s: _distance(s.basis.bell_sum @ s.basis.bell_sum / s.d**4, s.bell),
         tolerance,
     ),
     IdentityId.SWAPBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        lambda s: _distance(s.k_swap @ s.k_bell_swapped / s.d**3, s.bell),
+        lambda s: _distance(s.basis.swap_sum @ s.k_bell_swapped / s.d**3, s.bell),
         tolerance,
     ),
     IdentityId.TR1_BELLBELL: (

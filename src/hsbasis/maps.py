@@ -9,6 +9,9 @@ concurrence it induces.
 Every map is a two-sided sum A -> sum_n x_n A y_n: the superoperator
 :func:`hsbasis.linalg.sandwich_sum` applied by :func:`hsbasis.linalg.apply_superop`
 on the axes of the factor it acts on (conventions in :mod:`hsbasis.linalg`).
+The basis-expanded maps take it from the two sums a basis builds once in
+O(d^6) (:class:`~hsbasis.bases.MatrixBasis`) and apply it in O(d^4) to a
+d x d operand, O(d^6) to a two-party one; the Choi read-out is O(d^4).
 Conjugation is entrywise in the computational basis, in which the
 antisymmetric Gell-Mann elements used for state inversion are defined.
 """
@@ -32,10 +35,9 @@ from .linalg import (
     frob_norm,
     hs_gram,
     kron_sum,
-    partial_trace,
     product_sum,
+    reshuffle,
     sandwich_sum,
-    tensor,
     tolerance,
 )
 
@@ -125,20 +127,18 @@ def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
 
 def trace_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^dag, which equals Tr(A) 1 for any orthogonal basis."""
-    g = basis.elements
-    return apply_superop(sandwich_sum(g, dagger(g)), _check_square(a, basis.d)) / basis.d
+    return apply_superop(basis.bell_sum, _check_square(a, basis.d)) / basis.d
 
 
 def transpose_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^*, the basis expansion of the transposition."""
-    g = basis.elements
-    return apply_superop(sandwich_sum(g, g.conj()), _check_square(a, basis.d)) / basis.d
+    return apply_superop(basis.swap_sum, _check_square(a, basis.d)) / basis.d
 
 
 def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk,lm g_jk g_lm^dag A g_jk^dag g_lm, reproducing A itself."""
-    g, gd = basis.elements, dagger(basis.elements)
-    inner = apply_superop(sandwich_sum(g, gd), gd @ _check_square(a, basis.d))
+    g = basis.elements
+    inner = apply_superop(basis.bell_sum, dagger(g) @ _check_square(a, basis.d))
     return product_sum(inner, g) / basis.d**2
 
 
@@ -154,14 +154,12 @@ def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.n
     """Partial transposition of a two-party operator as a two-sided basis sum.
 
     Party 2: (1/d) sum (1 (x) g) B (1 (x) g^*); party 1 mirrors the
-    factors. The single-party superoperator of Y -> sum g Y g^* is built
-    from the basis elements in O(d^6) and applied to B on the chosen
-    factor in O(d^6). Matches the raw index swap of
-    :func:`hsbasis.linalg.partial_transpose`.
+    factors. The single-party superoperator of Y -> sum g Y g^* is the
+    basis's ``swap_sum``, applied to B on the chosen factor in O(d^6).
+    Matches the raw index swap of :func:`hsbasis.linalg.partial_transpose`.
     """
     _check_party(party)
-    g = basis.elements
-    return _two_sided(sandwich_sum(g, g.conj()), b, basis.d, _PARTY_AXES[party]) / basis.d
+    return _two_sided(basis.swap_sum, b, basis.d, _PARTY_AXES[party]) / basis.d
 
 
 def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
@@ -171,8 +169,7 @@ def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     left on factor 2 and g^* from the right on factor 1; O(d^6). Matches
     the raw index permutation of :func:`hsbasis.linalg.reshuffle`.
     """
-    g = basis.elements
-    return _two_sided(sandwich_sum(g, g.conj()), b, basis.d, (1, 2)) / basis.d
+    return _two_sided(basis.swap_sum, b, basis.d, (1, 2)) / basis.d
 
 
 def superop_from_action(
@@ -199,10 +196,9 @@ def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
 
 
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:
-    """Recover L(A) = d Tr_2[C_L (1 (x) A^T)] from the Choi representation."""
+    """L(A) = d Tr_2[C_L (1 (x) A^T)] = d devec(reshuffle(C_L) vec(A)), in O(d^4)."""
     d = choi.d
-    a = _check_square(a, d)
-    return d * partial_trace(choi.matrix @ tensor(np.eye(d), a.T), 2, d)
+    return d * apply_superop(reshuffle(choi.matrix, d), _check_square(a, d))
 
 
 def _local_dim(n: int, what: str) -> int:
@@ -222,12 +218,12 @@ def state_inversion(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """Universal state inversion (1/d) sum g A^* (g^dag - g^*).
 
     Equals Tr(A) 1 - A for Hermitian A, combining the trace-map and
-    transposition-map expansions.
+    transposition-map expansions: its superoperator is the basis's
+    ``bell_sum - swap_sum``.
     """
     a = _check_square(a, basis.d)
     _check_hermitian(a, tolerance(basis.d), "state-inversion input")
-    g = basis.elements
-    return apply_superop(sandwich_sum(g, dagger(g) - g.conj()), a.conj()) / basis.d
+    return apply_superop(basis.bell_sum - basis.swap_sum, a.conj()) / basis.d
 
 
 def state_inversion_y(a: np.ndarray) -> np.ndarray:

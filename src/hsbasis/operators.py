@@ -39,16 +39,14 @@ def swap_operator(d: int) -> np.ndarray:
     """
     check_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            m[j * d + k, k * d + j] = 1.0
+    j, k = np.divmod(np.arange(d * d), d)
+    m[j * d + k, k * d + j] = 1.0
     return m
 
 
 def swap_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_jk g_jk (x) g_jk^dag, the basis-diagonal form of SWAP."""
-    g = basis.elements
-    return kron_sum(g, dagger(g)) / basis.d
+    return basis.swap_sum / basis.d
 
 
 def swap_diag_expansion(basis: MatrixBasis, split: BasisSplit | None = None) -> np.ndarray:
@@ -69,8 +67,7 @@ def bell_state(d: int) -> np.ndarray:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> as a length-d^2 vector."""
     check_dim(d)
     v = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        v[j * d + j] = 1.0
+    v[:: d + 1] = 1.0
     return v / np.sqrt(d)
 
 
@@ -82,16 +79,13 @@ def bell_projector(d: int) -> np.ndarray:
     """
     check_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            m[j * d + j, k * d + k] = 1.0 / d
+    m[:: d + 1, :: d + 1] = 1.0 / d
     return m
 
 
 def bell_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk g_jk (x) g_jk^*, the basis-diagonal form of |Phi+><Phi+|."""
-    g = basis.elements
-    return kron_sum(g, g.conj()) / basis.d**2
+    return basis.bell_sum / basis.d**2
 
 
 def coherent_state(d: int) -> np.ndarray:

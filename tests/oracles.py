@@ -174,3 +174,57 @@ def combine_loops(c, x):
             for j in range(d):
                 out[i, j] += c[n] * x[n][i, j]
     return out
+
+
+def standard_basis_loops(d):
+    """Matrix units sqrt(d) |j><k| at flat index j*d + k, one entry per iteration."""
+    el = np.zeros((d * d, d, d), dtype=complex)
+    root = np.sqrt(d)
+    for j in range(d):
+        for k in range(d):
+            el[j * d + k, j, k] = root
+    return el
+
+
+def gellmann_diagonal_loops(d):
+    """The d - 1 diagonal Gell-Mann generators, element (l, l) for l = 1..d-1."""
+    el = np.zeros((d - 1, d, d), dtype=complex)
+    for l in range(1, d):
+        scale = np.sqrt(d / (l * (l + 1.0)))
+        for j in range(l):
+            el[l - 1, j, j] = scale
+        el[l - 1, l, l] = -l * scale
+    return el
+
+
+def weyl_basis_loops(d):
+    """Weyl elements Z^j X^k omega^(-jk/2), one phase per matrix entry."""
+    el = np.zeros((d * d, d, d), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            for col in range(d):
+                row = (col + k) % d
+                el[j * d + k, row, col] = np.exp(1j * np.pi * (2 * j * row - j * k) / d)
+    return el
+
+
+def swap_operator_loops(d):
+    """SWAP with entry ((j,k),(k,j)) = 1, one index pair per iteration."""
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for k in range(d):
+            out[j * d + k, k * d + j] = 1.0
+    return out
+
+
+def bell_state_loops(d):
+    """(1/sqrt(d)) sum_j |jj>, one entry per iteration."""
+    v = np.zeros(d * d, dtype=complex)
+    for j in range(d):
+        v[j * d + j] = 1.0
+    return v / np.sqrt(d)
+
+
+def apply_via_choi_partial_trace(c, a, d):
+    """L(A) = d Tr_2[C_L (1 (x) A^T)] from a Choi matrix, by explicit loops."""
+    return d * partial_trace_loops(c @ kron_loops(np.eye(d), np.transpose(a)), 2, d)

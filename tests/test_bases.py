@@ -233,3 +233,37 @@ class TestMatrixBasisStructure:
     def test_random_unitary_is_unitary(self):
         u = random_unitary(9, np.random.default_rng(1))
         assert np.allclose(u.conj().T @ u, np.eye(9), atol=1e-12)
+
+
+class TestLoopFreeConstructions:
+    """The index-array builders reproduce the element-by-element loops bit for bit."""
+
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_standard_and_weyl_bit_identical_to_loops(self, d):
+        assert standard_basis(d).elements.tobytes() == oracles.standard_basis_loops(d).tobytes()
+        assert weyl_basis(d).elements.tobytes() == oracles.weyl_basis_loops(d).tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_gellmann_diagonal_generators_bit_identical_to_loops(self, d):
+        diagonal = gellmann_basis(d).elements[[l * d + l for l in range(1, d)]]
+        assert diagonal.tobytes() == oracles.gellmann_diagonal_loops(d).tobytes()
+
+
+class TestBasisSums:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sums_match_kronecker_loops(self, d):
+        b = rotated_basis(weyl_basis(d), random_unitary(d * d, np.random.default_rng(d)))
+        g = b.elements
+        swap = sum(oracles.kron_loops(x, x.conj().T) for x in g)
+        bell = sum(oracles.kron_loops(x, x.conj()) for x in g)
+        assert np.linalg.norm(b.swap_sum - swap) <= tolerance(d)
+        assert np.linalg.norm(b.bell_sum - bell) <= tolerance(d)
+
+    def test_built_once_and_read_only(self):
+        b = gellmann_basis(3)
+        assert b.swap_sum is b.swap_sum and b.bell_sum is b.bell_sum
+        for name in ("swap_sum", "bell_sum"):
+            with pytest.raises(ValueError):
+                getattr(b, name)[0, 0] = 5.0
+            with pytest.raises(AttributeError):
+                setattr(b, name, np.zeros((9, 9)))

@@ -11,10 +11,13 @@ import pytest
 
 import hsbasis
 from hsbasis import cli
-from hsbasis.bases import MatrixBasis, gellmann_basis, weyl_basis
+from hsbasis import bases, maps
+from hsbasis.bases import NAMED_BASES, MatrixBasis, gellmann_basis, weyl_basis
 from hsbasis.cli import main
 from hsbasis.fileio import basis_to_dict, load_matrix, save_basis, save_matrix
 from hsbasis.identities import IdentityId
+from hsbasis.linalg import tolerance
+from hsbasis.maps import choi_state, superop_from_action
 from hsbasis.operators import bell_projector, bell_state, swap_operator
 
 
@@ -348,3 +351,125 @@ class TestErrorPaths:
     def test_help_exits_0(self, capsys):
         assert run("--help") == 0
         capsys.readouterr()
+
+
+def _matrix_doc(entries, rows=2, cols=2):
+    return json.dumps({"rows": rows, "cols": cols, "entries": entries})
+
+
+def _basis_doc(d, elements):
+    return json.dumps({"d": d, "kind": "custom", "elements": elements})
+
+
+_PAIRS = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+_ELEMENT = {"rows": 2, "cols": 2, "entries": _PAIRS}
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+_NAN = {"rows": 2, "cols": 2, "entries": [[float("nan"), 0.0]] + _PAIRS[1:]}
+_BIG = [[10**400, 0.0]] + _PAIRS[1:]
+_THREE = {"rows": 3, "cols": 3, "entries": [[0.0, 0.0]] * 9}
+
+# class -> (matrix file content, basis file content); None for a path, not a file
+CORRUPT_INPUTS = {
+    "not_json": ("{rows: 2", "[1, 2"),
+    "bad_utf8": (b'{"rows": 2\xff\xfe}', b'{"d": \xc3\x28}'),
+    "deep_nesting": (_DEEP, _DEEP),
+    "wrong_types": (_matrix_doc([["1", 0.0]] * 4), _basis_doc("2", [_ELEMENT] * 4)),
+    "bool_as_number": (_matrix_doc([[True, 0.0]] * 4), _basis_doc(True, [_ELEMENT] * 4)),
+    "non_finite": (json.dumps(_NAN), _basis_doc(2, [_NAN] * 4)),
+    "beyond_double": (_matrix_doc(_BIG), _basis_doc(2, [{**_ELEMENT, "entries": _BIG}] * 4)),
+    "wrong_element_count": (_matrix_doc(_PAIRS[:3]), _basis_doc(2, [_ELEMENT] * 3)),
+    "wrong_shape": (_matrix_doc(_PAIRS), _basis_doc(2, [_THREE] * 4)),
+    "directory": (None, None),
+    "missing_file": (None, None),
+}
+
+
+class TestCorruptInput:
+    """Every class of corrupt input exits 2 with one error line, also under -W error."""
+
+    @staticmethod
+    def _argv(tmp_path, kind, target):
+        matrix_text, basis_text = CORRUPT_INPUTS[kind]
+        text = matrix_text if target == "map" else basis_text
+        if kind == "directory":
+            path = tmp_path
+        else:
+            path = tmp_path / "input.json"
+            if text is not None:
+                path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        if target == "map":
+            return ["map", "pt", "--dim", "2", "--basis", "weyl", "--input", str(path),
+                    "--out", str(tmp_path / "out.json")]
+        return ["verify", "--basis", f"file:{path}", "--report", "machine"]
+
+    @staticmethod
+    def _assert_rejected(code, out, err, tmp_path):
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("hsbasis: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("target", ["map", "verify"])
+    @pytest.mark.parametrize("kind", CORRUPT_INPUTS)
+    def test_in_process(self, tmp_path, capsys, kind, target):
+        code = main(self._argv(tmp_path, kind, target))
+        captured = capsys.readouterr()
+        self._assert_rejected(code, captured.out, captured.err, tmp_path)
+
+    @pytest.mark.parametrize("target", ["map", "verify"])
+    @pytest.mark.parametrize("kind", CORRUPT_INPUTS)
+    def test_under_warnings_as_errors(self, tmp_path, kind, target):
+        env = dict(os.environ)
+        src = str(Path(hsbasis.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hsbasis", *self._argv(tmp_path, kind, target)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        self._assert_rejected(proc.returncode, proc.stdout, proc.stderr, tmp_path)
+
+
+class TestChoiFromMaps:
+    """The choi actions are the basis-sum maps; closed forms give the reference."""
+
+    CLOSED_FORMS = {
+        "identity": lambda g, d: g,
+        "transpose": lambda g, d: g.T,
+        "trace": lambda g, d: np.trace(g) * np.eye(d),
+        "inversion": lambda g, d: np.trace(g) * np.eye(d) - g,
+    }
+
+    def test_choices_unchanged(self):
+        assert tuple(cli._CHOI_ACTIONS) == tuple(self.CLOSED_FORMS)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("basis", ["standard", "gellmann", "weyl"])
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS))
+    def test_matches_closed_form(self, tmp_path, name, basis, d):
+        out = tmp_path / "c.json"
+        assert run("choi", "--map", name, "--dim", str(d), "--basis", basis, "--out", str(out)) == 0
+        b = NAMED_BASES[basis](d)
+        closed = superop_from_action(lambda g: self.CLOSED_FORMS[name](g, d), b)
+        expected = choi_state(closed, b).matrix
+        assert np.linalg.norm(load_matrix(out) - expected) <= tolerance(d)
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORMS))
+    def test_one_basis_sum_per_run(self, tmp_path, monkeypatch, name):
+        # one sum for the map (none for the identity) and one for the Choi matrix
+        calls = []
+        for module in (bases, maps):
+            original = module.kron_sum
+
+            def counted(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "kron_sum", counted)
+        out = tmp_path / "c.json"
+        assert run("choi", "--map", name, "--dim", "3", "--basis", "weyl", "--out", str(out)) == 0
+        assert len(calls) == (1 if name == "identity" else 2)

@@ -14,7 +14,7 @@ from hsbasis.bases import (
     standard_basis,
     weyl_basis,
 )
-from hsbasis import identities
+from hsbasis import bases, identities
 from hsbasis.identities import (
     IdentityId,
     _Operands,
@@ -363,13 +363,15 @@ class TestSharedOperands:
     def calls(self, monkeypatch):
         counts = dict.fromkeys(("kron_sum", "_trace_gram", "swap_operator", "bell_projector"), 0)
         for name in counts:
-            original = getattr(identities, name)
+            # the basis builds K_swap and K_bell, the run everything else
+            module = bases if name == "kron_sum" else identities
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(identities, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_full_run_builds_each_operand_once(self, calls):
@@ -401,11 +403,12 @@ class TestSharedOperands:
         # transpose or conjugate in a derived operand cannot cancel out
         s = _Operands(_random_elements_basis(d), 0)
         g, gc, gd = s.g, s.gc, s.gd
-        swapped = [(_swap_conjugate(s.k_swap, d), gd, g), (s.k_bell_swapped, gc, g)]
+        k_swap, k_bell = s.basis.swap_sum, s.basis.bell_sum
+        swapped = [(_swap_conjugate(k_swap, d), gd, g), (s.k_bell_swapped, gc, g)]
         for got, x, y in swapped:
             assert _close(got, sum(oracles.kron_loops(a, b) for a, b in zip(x, y)))
         a = oracles.random_matrix(d, np.random.default_rng(d))
-        sandwiches = [(s.k_swap, g, gc), (s.k_bell, g, gd), (s.k_bell_swapped.T, gd, g)]
+        sandwiches = [(k_swap, g, gc), (k_bell, g, gd), (s.k_bell_swapped.T, gd, g)]
         for superop, x, y in sandwiches:
             assert _close(apply_superop(superop, a), oracles.sandwich_loops(x, a, y))
 

@@ -14,9 +14,11 @@ from hsbasis.bases import (
     weyl_basis,
 )
 from hsbasis.linalg import (
+    apply_superop,
     partial_trace,
     partial_transpose,
     reshuffle,
+    sandwich_sum,
     tensor,
     tolerance,
 )
@@ -44,6 +46,9 @@ from hsbasis.operators import (
     swap_expansion,
     swap_operator,
 )
+
+from hsbasis import bases, identities, linalg, maps, operators
+from hsbasis.identities import run_catalogue
 
 import oracles
 
@@ -354,6 +359,17 @@ class TestChoi:
                     apply_via_choi(c, a) - superop.apply(a)
                 ) <= 1e-9 * d * d
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("builder", BUILTINS, ids=lambda b: b.__name__)
+    def test_read_out_matches_partial_trace_formula(self, builder, d):
+        rng = np.random.default_rng(900 + d)
+        b = builder(d)
+        c = choi_state(Superoperator(d, oracles.random_matrix(d * d, rng)), b)
+        for _ in range(3):
+            a = oracles.random_matrix(d, rng)
+            expected = oracles.apply_via_choi_partial_trace(c.matrix, a, d)
+            assert np.linalg.norm(apply_via_choi(c, a) - expected) <= tolerance(d)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             choi_state(Superoperator(2, np.eye(4)), gellmann_basis(3))
@@ -503,3 +519,49 @@ class TestConcurrence:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             concurrence_squared(np.ones(5) / np.sqrt(5))
+
+
+def count_kron_sums(monkeypatch):
+    """Count every kron_sum call, also those made through sandwich_sum."""
+    calls = []
+    original = linalg.kron_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (linalg, bases, maps, operators, identities):
+        if hasattr(module, "kron_sum"):
+            monkeypatch.setattr(module, "kron_sum", counted)
+    return calls
+
+
+class TestSharedBasisSums:
+    """Every basis-sum map and expansion reads the two sums the basis builds once."""
+
+    def test_everything_on_one_basis_builds_two_sums(self, monkeypatch):
+        calls = count_kron_sums(monkeypatch)
+        d = 3
+        b = rotated_basis(weyl_basis(d), random_unitary(d * d, np.random.default_rng(5)))
+        a = oracles.random_hermitian(d, np.random.default_rng(6))
+        swap = swap_expansion(b)
+        bell_expansion(b)
+        for party in (1, 2):
+            partial_transpose_map(swap, party, b)
+        reshuffle_map(swap, b)
+        for one_party_map in (trace_map, transpose_map, identity_map, state_inversion):
+            one_party_map(a, b)
+        assert run_catalogue(b).all_passed
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("builder", BUILTINS, ids=lambda b: b.__name__)
+    def test_sums_are_the_superoperators_the_maps_built_per_call(self, builder, d):
+        b = rotated_basis(builder(d), random_unitary(d * d, np.random.default_rng(d)))
+        g = b.elements
+        gd = g.conj().swapaxes(1, 2)
+        assert b.swap_sum.tobytes() == sandwich_sum(g, g.conj()).tobytes()
+        assert b.bell_sum.tobytes() == sandwich_sum(g, gd).tobytes()
+        h = oracles.random_hermitian(d, np.random.default_rng(40 + d))
+        fresh = apply_superop(sandwich_sum(g, gd - g.conj()), h.conj()) / d
+        assert np.linalg.norm(state_inversion(h, b) - fresh) <= 1e-3 * tolerance(d)

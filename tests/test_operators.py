@@ -27,6 +27,13 @@ import oracles
 BUILTINS = [standard_basis, gellmann_basis, weyl_basis]
 
 
+@pytest.mark.parametrize("d", range(2, 33))
+def test_fixed_operators_bit_identical_to_loops(d):
+    assert swap_operator(d).tobytes() == oracles.swap_operator_loops(d).tobytes()
+    assert bell_state(d).tobytes() == oracles.bell_state_loops(d).tobytes()
+    assert bell_projector(d).tobytes() == oracles.bell_projector_loops(d).tobytes()
+
+
 class TestSwapOperator:
     def test_d2_permutation(self):
         expected = np.zeros((4, 4))
