@@ -108,6 +108,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     basis = _resolve_basis(args.basis, args.dim)
     if args.ids is None:
         ids = list(IdentityId)

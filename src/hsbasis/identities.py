@@ -8,7 +8,9 @@ formulas, residuals and tolerance kinds.
 
 Costs for d x d elements: every entry is O(d^6) or less, and no stack
 longer than the d^2 basis elements is built. The two-factor sums take
-O(d^5) and the two expansions O(d^6). The four-factor sums run over
+O(d^5), the two expansions O(d^6), and the two seeded checks on random
+A, B O(d^4): they read (A (x) B) SWAP off reshuffle(SWAP) without
+forming A (x) B (:meth:`_Operands.swap_trace`). The four-factor sums run over
 the d^4 pairs (m, n) of elements but factor through the mixed-product
 rule (A (x) B)(C (x) D) = AC (x) BD into sums over single elements:
 
@@ -28,7 +30,7 @@ K_bell for (g, g^dag), and (SWAP K_bell SWAP)^T for (g^dag, g). The
 basis builds K_swap and K_bell once (:attr:`~hsbasis.bases.MatrixBasis.swap_sum`,
 :attr:`~hsbasis.bases.MatrixBasis.bell_sum`), shared with the maps and
 expansions on the same basis; a run builds M once, on first use,
-together with SWAP and the Bell projector.
+together with SWAP, the Bell projector and A, B (one draw, one generator).
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from .linalg import (
     dagger,
     frob_norm,
     hs_gram,
-    partial_trace,
+    hs_inner,
     product_sum,
+    reshuffle,
     scalar_tolerance,
-    tensor,
     tolerance,
 )
 from .maps import bloch_decompose
@@ -93,6 +95,8 @@ class _Operands:
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         self.basis = basis
         self.d = basis.d
         self.g = basis.elements
@@ -119,11 +123,17 @@ class _Operands:
     def bell(self) -> np.ndarray:
         return bell_projector(self.d)
 
-    def random(self, n: int) -> list[np.ndarray]:
-        """n d x d complex Gaussian matrices from a fresh generator on the run's seed."""
+    @cached_property
+    def random_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """A, B: d x d complex Gaussian matrices from one generator on the run's seed."""
         rng = np.random.default_rng(self.seed)
         shape = (self.d, self.d)
-        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)]
+        return tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "AB")
+
+    def swap_trace(self, b: np.ndarray) -> np.ndarray:
+        """W(B) = Tr_2[(1 (x) B) SWAP] = devec(reshuffle(SWAP) vec(B^T)), O(d^4); for any X
+        in place of SWAP, Tr_2[(A (x) B) X] = A W(B) and Tr[(A (x) B) X] = Tr(A W(B))."""
+        return apply_superop(reshuffle(self.swap, self.d), b.T)
 
 
 def _swap_conjugate(k: np.ndarray, d: int) -> np.ndarray:
@@ -148,19 +158,20 @@ def _trace_weighted_pair_sum(xc: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _distance(lhs, rhs) -> float:
     """Frobenius distance; a number on the right of a matrix means that multiple of 1."""
-    if np.ndim(lhs) == 2 and np.ndim(rhs) == 0:
-        rhs = rhs * np.eye(len(lhs))
-    return frob_norm(np.subtract(lhs, rhs))
+    diff = np.array(lhs, dtype=complex)
+    target = diff.reshape(-1)[:: len(diff) + 1] if diff.ndim == 2 and np.ndim(rhs) == 0 else diff
+    target -= rhs
+    return frob_norm(diff)
 
 
 def _trswap_choi(s: _Operands) -> float:
-    a, b = s.random(2)
-    return _distance(partial_trace(tensor(a, b) @ s.swap, 2, s.d), a @ b)
+    a, b = s.random_pair
+    return _distance(a @ s.swap_trace(b), a @ b)
 
 
 def _purity_link(s: _Operands) -> float:
-    (b,) = s.random(1)
-    via_swap = complex(np.trace(tensor(dagger(b), b) @ s.swap))
+    b = s.random_pair[0]
+    via_swap = hs_inner(b, s.swap_trace(b))
     via_bloch = bloch_decompose(b, s.basis).squared_length
     purity = float(np.vdot(b, b).real)
     return max(abs(x - y) for x, y in itertools.combinations((via_swap, via_bloch, purity), 2))
@@ -245,7 +256,7 @@ _CATALOGUE = {
         lambda s: _distance(np.sum(np.abs(s.m) ** 2), float(s.d) ** 4),
         scalar_tolerance,
     ),
-    # seeded random-operator checks, each on its own generator
+    # seeded random-operator checks, on the run's one draw of A, B
     IdentityId.TRSWAP_CHOI: (
         "Tr_2(A (x) B SWAP) == A B for random A, B",
         _trswap_choi,
@@ -270,9 +281,7 @@ def coerce_identity_id(value) -> IdentityId:
         raise ValueError(f"unknown identity {value!r}; known: {known}") from None
 
 
-def check_identity(
-    identity, basis: MatrixBasis, seed: int = DEFAULT_SEED
-) -> IdentityCheck:
+def check_identity(identity, basis: MatrixBasis, seed: int = DEFAULT_SEED) -> IdentityCheck:
     """Evaluate one catalogue identity for the given basis.
 
     The seed only affects the identities that draw random operators
@@ -303,9 +312,6 @@ def run_catalogue(
 
     The entries share one set of operands, so each basis sum is built once.
     """
-    if ids is None:
-        selected = list(IdentityId)
-    else:
-        selected = [coerce_identity_id(i) for i in ids]
+    selected = list(IdentityId) if ids is None else [coerce_identity_id(i) for i in ids]
     operands = _Operands(basis, seed)
     return IdentityReport(tuple(_check(i, operands) for i in selected))

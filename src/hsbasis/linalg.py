@@ -68,8 +68,9 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frob_norm(a: np.ndarray) -> float:
-    """Frobenius norm, the norm induced by the Hilbert-Schmidt inner product."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm, the HS one; summed as np.linalg.norm sums it, without its checks."""
+    r = np.asarray(a).ravel(order="K")
+    return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,6 +219,7 @@ def apply_superop(s: np.ndarray, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     act on party 1, (1, 3) on party 2, and (1, 2) put the left factor on
     party 2 and the right one on party 1 (the reshuffle).
     """
-    a = np.moveaxis(np.asarray(a, dtype=complex), axes, (-2, -1))
-    out = a.reshape(-1, s.shape[1]) @ s.T
-    return np.moveaxis(out.reshape(a.shape), (-2, -1), axes)
+    a = np.asarray(a, dtype=complex)
+    if tuple(axes) != (-2, -1):
+        return np.moveaxis(apply_superop(s, np.moveaxis(a, axes, (-2, -1))), (-2, -1), axes)
+    return (a.reshape(-1, s.shape[1]) @ s.T).reshape(a.shape)

@@ -228,3 +228,14 @@ def bell_state_loops(d):
 def apply_via_choi_partial_trace(c, a, d):
     """L(A) = d Tr_2[C_L (1 (x) A^T)] from a Choi matrix, by explicit loops."""
     return d * partial_trace_loops(c @ kron_loops(np.eye(d), np.transpose(a)), 2, d)
+
+
+def trswap_loops(a, b, x):
+    """Tr_2[(A (x) B) X], through the d^2 x d^2 Kronecker product: the O(d^6) evaluation."""
+    return partial_trace_loops(kron_loops(a, b) @ np.asarray(x), 2, len(a))
+
+
+def purity_swap_term_loops(b, x):
+    """Tr[(B^dag (x) B) X], through the d^2 x d^2 Kronecker product: the O(d^6) evaluation."""
+    b = np.asarray(b)
+    return complex(np.trace(kron_loops(b.conj().T, b) @ np.asarray(x)))

@@ -328,6 +328,15 @@ class TestErrorPaths:
         assert proc.stdout == ""
         assert proc.stderr.startswith("hsbasis: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("report", ["text", "machine"])
+    @pytest.mark.parametrize(
+        "ids", [None, "swap_expansion", "trswap_choi", "gg_conj_sum,purity_link"]
+    )
+    def test_negative_seed_exits_2_whichever_ids(self, capsys, report, ids):
+        args = ["verify", "--dim", "2", "--seed", "-1", "--report", report]
+        code = run(*args, *(["--ids", ids] if ids else []))
+        self._assert_one_error_line(code, capsys.readouterr(), "--seed must be >= 0, got -1")
+
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         def exhausted(args):
             raise MemoryError

@@ -25,9 +25,17 @@ from hsbasis.identities import (
     check_identity,
     run_catalogue,
 )
-from hsbasis.linalg import apply_superop, kron_sum, product_sum, sandwich_sum, tolerance
-from hsbasis.maps import trace_map
-from hsbasis.operators import bell_projector
+from hsbasis.linalg import (
+    apply_superop,
+    hs_inner,
+    kron_sum,
+    product_sum,
+    sandwich_sum,
+    tensor,
+    tolerance,
+)
+from hsbasis.maps import bloch_decompose, trace_map
+from hsbasis.operators import bell_projector, swap_operator
 
 import oracles
 
@@ -440,3 +448,124 @@ class TestSharedOperands:
             got = {c.id: c.residual for c in run_catalogue(basis, ids=ids, seed=11)}
             for i in seeded:
                 assert got[i.value] == alone[i], (ids, i)
+
+
+SEEDED_IDS = [IdentityId.TRSWAP_CHOI, IdentityId.PURITY_LINK]
+
+
+def _with_swap(monkeypatch, x):
+    """Make every run take ``x`` as its SWAP operand."""
+    monkeypatch.setattr(identities, "swap_operator", lambda d: x)
+
+
+class TestSeededEntries:
+    """Tr_2[(A (x) B) SWAP] = A B and Tr[(B^dag (x) B) SWAP] = Tr(B^dag B) in O(d^4)."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_swap_trace_matches_kronecker_oracles_for_any_operand(self, monkeypatch, d):
+        # a random X in place of SWAP obeys no permutation symmetry, so an index
+        # transposed or exchanged in the O(d^4) read-out cannot cancel out
+        rng = np.random.default_rng(1200 + d)
+        x = oracles.random_matrix(d * d, rng)
+        _with_swap(monkeypatch, x)
+        s = _Operands(random_basis(d, 1300 + d), 7)
+        a, b = s.random_pair
+        assert np.linalg.norm(a @ s.swap_trace(b) - oracles.trswap_loops(a, b, x)) <= tolerance(d)
+        via_swap = hs_inner(b, s.swap_trace(b))
+        assert abs(via_swap - oracles.purity_swap_term_loops(b, x)) <= tolerance(d)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_residuals_match_kronecker_oracles_for_any_operand(self, monkeypatch, d):
+        rng = np.random.default_rng(1400 + d)
+        x = oracles.random_matrix(d * d, rng)
+        _with_swap(monkeypatch, x)
+        basis = random_basis(d, 1500 + d)
+        got = {c.id: c.residual for c in run_catalogue(basis, ids=SEEDED_IDS, seed=3)}
+        first, second = _Operands(basis, 3).random_pair
+        trswap = np.linalg.norm(oracles.trswap_loops(first, second, x) - first @ second)
+        # purity_link's B is the run's first draw
+        sides = (
+            oracles.purity_swap_term_loops(first, x),
+            bloch_decompose(first, basis).squared_length,
+            float(np.vdot(first, first).real),
+        )
+        purity = max(abs(p - q) for p, q in itertools.combinations(sides, 2))
+        assert abs(got["trswap_choi"] - trswap) <= tolerance(d)
+        assert abs(got["purity_link"] - purity) <= tolerance(d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("wrong", ["identity", "row_pair_exchanged"])
+    def test_wrong_swap_fails_both(self, monkeypatch, d, wrong):
+        if wrong == "identity":
+            x = np.eye(d * d, dtype=complex)
+        else:
+            x = swap_operator(d)[[1, 0, *range(2, d * d)]]
+        _with_swap(monkeypatch, x)
+        report = run_catalogue(weyl_basis(d), ids=SEEDED_IDS, seed=5)
+        assert [c.passed for c in report.checks] == [False, False]
+
+    @pytest.mark.parametrize(
+        "ids, draws",
+        [
+            (SEEDED_IDS, 1),
+            (SEEDED_IDS[::-1], 1),
+            ([IdentityId.TRSWAP_CHOI], 1),
+            ([IdentityId.PURITY_LINK], 1),
+            (ALL_IDS, 1),
+            (ALL_IDS[::-1], 1),
+            ([i for i in ALL_IDS if i not in SEEDED_IDS], 0),
+            ([IdentityId.SWAP_EXPANSION], 0),
+        ],
+    )
+    def test_one_generator_per_run(self, monkeypatch, ids, draws):
+        basis = gellmann_basis(3)
+        made = []
+        original = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        run_catalogue(basis, ids=ids, seed=4)
+        assert made == [(4,)] * draws
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_no_kronecker_product_and_no_d2_by_d2_product(self, monkeypatch, d):
+        class Swap(np.ndarray):
+            """SWAP that refuses to enter a product with a d^2 x d^2 matrix."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    shapes = [np.shape(i) for i in inputs]
+                    assert not all(min(s[-2:], default=0) >= d * d for s in shapes), shapes
+                plain = [i.view(np.ndarray) if isinstance(i, Swap) else i for i in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Kronecker product formed")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        _with_swap(monkeypatch, swap_operator(d).view(Swap))
+        report = run_catalogue(random_basis(d, 60 + d), ids=SEEDED_IDS)
+        assert report.all_passed
+        # the guard itself: the old O(d^6) evaluation trips both checks
+        a = np.ones((d, d), dtype=complex)
+        with pytest.raises(AssertionError):
+            tensor(a, a)
+        with pytest.raises(AssertionError):
+            np.ones((d * d, d * d), dtype=complex) @ swap_operator(d).view(Swap)
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("ids", [None, SEEDED_IDS, [IdentityId.SWAP_EXPANSION]])
+    def test_negative_seed_rejected_before_any_entry_runs(self, monkeypatch, ids):
+        def refuse(*args):
+            raise AssertionError("an entry ran")
+
+        monkeypatch.setattr(identities, "_check", refuse)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            run_catalogue(weyl_basis(2), ids=ids, seed=-1)
+        for identity in ids or ALL_IDS:
+            with pytest.raises(ValueError, match="seed"):
+                check_identity(identity, weyl_basis(2), seed=-1)

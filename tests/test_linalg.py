@@ -8,6 +8,7 @@ from hsbasis.linalg import (
     basis_sum,
     combine,
     devectorize,
+    frob_norm,
     hs_gram,
     hs_inner,
     kron_sum,
@@ -272,6 +273,53 @@ class TestSandwichKernel:
         expected = sum(on_party[left](xn) @ b @ on_party[right](yn) for xn, yn in zip(x, y))
         got = apply_superop(sandwich_sum(x, y), b.reshape(d, d, d, d), axes)
         assert np.allclose(got.reshape(d * d, d * d), expected, atol=1e-12)
+
+
+def _apply_superop_via_moveaxis(s, a, axes):
+    """apply_superop as it reads with both moveaxis calls on every path."""
+    a = np.moveaxis(np.asarray(a, dtype=complex), axes, (-2, -1))
+    out = a.reshape(-1, s.shape[1]) @ s.T
+    return np.moveaxis(out.reshape(a.shape), (-2, -1), axes)
+
+
+class TestApplySuperopTrailingAxes:
+    """The default (-2, -1) path skips np.moveaxis; it must not change a bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("count", ["single", "one", "three", "full"])
+    def test_bit_identical_to_moveaxis_path(self, d, count):
+        rng = np.random.default_rng(90 + 10 * d + len(count))
+        s = oracles.random_matrix(d * d, rng)
+        n = {"single": None, "one": 1, "three": 3, "full": d * d}[count]
+        a = oracles.random_matrix(d, rng) if n is None else _random_stack(n, d, rng)
+        want = _apply_superop_via_moveaxis(s, a, (-2, -1))
+        got = apply_superop(s, a)
+        assert got.shape == a.shape
+        assert np.array_equal(got, want)
+        # the same axes spelled out take the moveaxis path
+        assert np.array_equal(apply_superop(s, a, (a.ndim - 2, a.ndim - 1)), want)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_positive_trailing_axes_on_a_stack(self, d):
+        rng = np.random.default_rng(95 + d)
+        s = oracles.random_matrix(d * d, rng)
+        a = _random_stack(3, d, rng)
+        got = apply_superop(s, a, (1, 2))
+        assert np.array_equal(got, apply_superop(s, a))
+        assert np.array_equal(got, _apply_superop_via_moveaxis(s, a, (1, 2)))
+
+
+class TestFrobNorm:
+    """frob_norm sums as np.linalg.norm does, so residuals keep every bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
+    def test_bit_identical_to_numpy_norm(self, d):
+        rng = np.random.default_rng(110 + d)
+        m = oracles.random_matrix(d, rng)
+        cases = [m, m.T, m.real, m.real.T, _random_stack(3, d, rng), m[0, 0], m.real[0, 0]]
+        for a in cases:
+            assert frob_norm(a) == float(np.linalg.norm(a))
+            assert isinstance(frob_norm(a), float)
 
 
 class TestHsGramKernel:
