@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import combine, dagger, frob_norm, hs_gram, kron_sum, tolerance
+from .linalg import combine, dagger, frob_norm, hs_gram, kron_sum, partial_transpose, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -39,8 +39,10 @@ class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
     The element stack is made read-only on construction, so instances can
-    be shared freely. The two basis sums the maps and expansions use are
-    built on first use and kept read-only: 16 d^4 bytes each.
+    be shared freely. The maps and expansions read one basis sum,
+    sum g (x) g^*, built on first use in O(d^6), and its partial transpose
+    sum g (x) g^dag, an O(d^4) index move; both are kept read-only,
+    16 d^4 bytes each.
     """
 
     d: int
@@ -60,14 +62,14 @@ class MatrixBasis:
         object.__setattr__(self, "elements", el)
 
     @cached_property
-    def swap_sum(self) -> np.ndarray:
-        """sum g (x) g^dag = d SWAP; also the superoperator sandwich_sum(g, g^*)."""
-        return _read_only(kron_sum(self.elements, dagger(self.elements)))
-
-    @cached_property
     def bell_sum(self) -> np.ndarray:
         """sum g (x) g^* = d^2 |Phi+><Phi+|; also the superoperator sandwich_sum(g, g^dag)."""
         return _read_only(kron_sum(self.elements, self.elements.conj()))
+
+    @cached_property
+    def swap_sum(self) -> np.ndarray:
+        """sum g (x) g^dag = d SWAP, bell_sum transposed on party 2; also sandwich_sum(g, g^*)."""
+        return _read_only(partial_transpose(self.bell_sum, 2, self.d))
 
     def element(self, j: int, k: int) -> np.ndarray:
         return self.elements[j * self.d + k]

@@ -22,14 +22,14 @@ rule (A (x) B)(C (x) D) = AC (x) BD into sums over single elements:
 - the trace-weighted sums go through M[m,n] = Tr(g_m g_n), one
   d^2 x d^2 matrix product, O(d^6).
 
-Every sum of both kinds is one of two basis sums, K_swap = sum g (x) g^dag
-and K_bell = sum g (x) g^*, or an O(d^4) index permutation of one: SWAP
-conjugation exchanges the factors, sum y (x) x = SWAP (sum x (x) y) SWAP,
-and the superoperator sum x (x) z^T of S is K_swap for (x, z) = (g, g^*),
-K_bell for (g, g^dag), and (SWAP K_bell SWAP)^T for (g^dag, g). The
-basis builds K_swap and K_bell once (:attr:`~hsbasis.bases.MatrixBasis.swap_sum`,
-:attr:`~hsbasis.bases.MatrixBasis.bell_sum`), shared with the maps and
-expansions on the same basis; a run builds M once, on first use,
+Every sum of both kinds reads one basis sum, K = sum g (x) g^* (the
+basis's :attr:`~hsbasis.bases.MatrixBasis.bell_sum`, built once in
+O(d^6) and shared with the maps and expansions on the same basis),
+through an exact O(d^4) index move or conjugation: sum g (x) g^dag is
+its party-2 transpose (:attr:`~hsbasis.bases.MatrixBasis.swap_sum`),
+sum g^dag (x) g the adjoint of that, and sum g^* (x) g is K^*. The
+superoperator sum x (x) z^T of S is swap_sum for (x, z) = (g, g^*), K
+for (g, g^dag) and K^dag for (g^dag, g). A run builds M once, on first use,
 together with SWAP, the Bell projector and A, B (one draw, one generator).
 """
 
@@ -89,9 +89,9 @@ class IdentityId(enum.Enum):
 class _Operands:
     """What the catalogue entries share, derived once per run.
 
-    K_swap and K_bell are the basis's own sums; the other operands are
-    computed on first use, so a run builds only those its entries need,
-    and each at most once.
+    The basis sums are the basis's own; the other operands are computed
+    on first use, so a run builds only those its entries need, and each
+    at most once.
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
@@ -104,11 +104,6 @@ class _Operands:
         self.gd = dagger(self.g)
         self.tr = np.einsum("nii->n", self.g)
         self.seed = seed
-
-    @cached_property
-    def k_bell_swapped(self) -> np.ndarray:
-        """sum g^* (x) g = SWAP K_bell SWAP; its transpose is sandwich_sum(g^dag, g)."""
-        return _swap_conjugate(self.basis.bell_sum, self.d)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -134,11 +129,6 @@ class _Operands:
         """W(B) = Tr_2[(1 (x) B) SWAP] = devec(reshuffle(SWAP) vec(B^T)), O(d^4); for any X
         in place of SWAP, Tr_2[(A (x) B) X] = A W(B) and Tr[(A (x) B) X] = Tr(A W(B))."""
         return apply_superop(reshuffle(self.swap, self.d), b.T)
-
-
-def _swap_conjugate(k: np.ndarray, d: int) -> np.ndarray:
-    """SWAP k SWAP, which turns sum x (x) y into sum y (x) x, as an index permutation."""
-    return k.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
 def _pair_product_sum(sandwich: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -218,12 +208,12 @@ _CATALOGUE = {
     # four-factor sums over pairs (a,b), (j,k)
     IdentityId.IDENTITY_4OP_TENSOR: (
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _distance(_swap_conjugate(s.basis.swap_sum, s.d) @ s.basis.swap_sum / s.d**2, 1),
+        lambda s: _distance(dagger(s.basis.swap_sum) @ s.basis.swap_sum / s.d**2, 1),
         tolerance,
     ),
     IdentityId.FOUROPS_1: (
         "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        lambda s: _distance(_pair_product_sum(s.k_bell_swapped.T, s.g, s.gd), s.d**2),
+        lambda s: _distance(_pair_product_sum(dagger(s.basis.bell_sum), s.g, s.gd), s.d**2),
         tolerance,
     ),
     IdentityId.FOUROPS_2: (
@@ -243,7 +233,7 @@ _CATALOGUE = {
     ),
     IdentityId.SWAPBELL_TENSOR: (
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        lambda s: _distance(s.basis.swap_sum @ s.k_bell_swapped / s.d**3, s.bell),
+        lambda s: _distance(s.basis.swap_sum @ s.basis.bell_sum.conj() / s.d**3, s.bell),
         tolerance,
     ),
     IdentityId.TR1_BELLBELL: (

@@ -9,9 +9,11 @@ concurrence it induces.
 Every map is a two-sided sum A -> sum_n x_n A y_n: the superoperator
 :func:`hsbasis.linalg.sandwich_sum` applied by :func:`hsbasis.linalg.apply_superop`
 on the axes of the factor it acts on (conventions in :mod:`hsbasis.linalg`).
-The basis-expanded maps take it from the two sums a basis builds once in
-O(d^6) (:class:`~hsbasis.bases.MatrixBasis`) and apply it in O(d^4) to a
-d x d operand, O(d^6) to a two-party one; the Choi read-out is O(d^4).
+The basis-expanded maps take it from the one sum a basis builds once in
+O(d^6), sum g (x) g^*, or from its O(d^4) partial transpose
+(:class:`~hsbasis.bases.MatrixBasis`), and apply it in O(d^4) to a d x d
+operand, O(d^6) to a two-party one; a Choi state applies L to party 1
+of that sum, and its read-out is O(d^4).
 Conjugation is entrywise in the computational basis, in which the
 antisymmetric Gell-Mann elements used for state inversion are defined.
 """
@@ -34,7 +36,6 @@ from .linalg import (
     dagger,
     frob_norm,
     hs_gram,
-    kron_sum,
     product_sum,
     reshuffle,
     sandwich_sum,
@@ -185,14 +186,16 @@ def superop_from_action(
 
 
 def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
-    """Choi representation C_L = (L (x) Id)|Phi+><Phi+| = (1/d^2) sum L(g) (x) g^*."""
+    """Choi representation C_L = (L (x) Id)|Phi+><Phi+| = (1/d^2) sum L(g) (x) g^*.
+
+    L acts on party 1 of the basis's ``bell_sum``, O(d^6) once that sum is built.
+    """
     d = basis.d
     if superop.d != d:
         raise ValueError(
             f"superoperator dimension {superop.d} does not match basis dimension {d}"
         )
-    g = basis.elements
-    return ChoiState(d, kron_sum(apply_superop(superop.matrix, g), g.conj()) / d**2)
+    return ChoiState(d, _two_sided(superop.matrix, basis.bell_sum, d, _PARTY_AXES[1]) / d**2)
 
 
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:

@@ -252,12 +252,18 @@ class TestLoopFreeConstructions:
 class TestBasisSums:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_sums_match_kronecker_loops(self, d):
-        b = rotated_basis(weyl_basis(d), random_unitary(d * d, np.random.default_rng(d)))
-        g = b.elements
-        swap = sum(oracles.kron_loops(x, x.conj().T) for x in g)
-        bell = sum(oracles.kron_loops(x, x.conj()) for x in g)
-        assert np.linalg.norm(b.swap_sum - swap) <= tolerance(d)
-        assert np.linalg.norm(b.bell_sum - bell) <= tolerance(d)
+        rng = np.random.default_rng(d)
+        rotated = rotated_basis(weyl_basis(d), random_unitary(d * d, rng))
+        # on an orthogonal basis either partial transpose of sum g (x) g^* gives d SWAP,
+        # so only a non-orthogonal stack, here of Gaussian matrices, pins which party
+        # swap_sum transposes
+        gaussian = MatrixBasis(d, np.array([oracles.random_matrix(d, rng) for _ in range(d * d)]))
+        for b in (rotated, gaussian):
+            g = b.elements
+            swap = sum(oracles.kron_loops(x, x.conj().T) for x in g)
+            bell = sum(oracles.kron_loops(x, x.conj()) for x in g)
+            assert np.linalg.norm(b.swap_sum - swap) <= tolerance(d)
+            assert np.linalg.norm(b.bell_sum - bell) <= tolerance(d)
 
     def test_built_once_and_read_only(self):
         b = gellmann_basis(3)

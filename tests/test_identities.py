@@ -19,7 +19,6 @@ from hsbasis.identities import (
     IdentityId,
     _Operands,
     _pair_product_sum,
-    _swap_conjugate,
     _trace_gram,
     _trace_weighted_pair_sum,
     check_identity,
@@ -27,6 +26,7 @@ from hsbasis.identities import (
 )
 from hsbasis.linalg import (
     apply_superop,
+    dagger,
     hs_inner,
     kron_sum,
     product_sum,
@@ -243,16 +243,6 @@ class TestFourFactorKernels:
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_swap_conjugate_exchanges_the_factors(self, d, n):
-        rng = np.random.default_rng(40 * d + n)
-        x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
-        swapped = sum(oracles.kron_loops(y[a], x[a]) for a in range(n))
-        assert _close(_swap_conjugate(kron_sum(x, y), d), swapped)
-        swap = oracles.swap_loops(d)
-        assert _close(_swap_conjugate(kron_sum(x, y), d), swap @ kron_sum(x, y) @ swap)
-
-    @pytest.mark.parametrize("n", [3, 5])
-    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_product_sum(self, d, n):
         rng = np.random.default_rng(20 * d + n)
         x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
@@ -350,8 +340,8 @@ SHARED_BASES = {
     "haar_weyl": _haar_rotated_weyl,
 }
 
-# kron_sum calls each entry makes on its own: K_swap for the SWAP family,
-# K_bell for the Bell family, both for swapbell, none for the rest
+# kron_sum calls each entry makes on its own: the basis's one sum, sum g (x) g^*,
+# for the SWAP and Bell families and swapbell, none for the rest
 KRON_SUMS_ALONE = {
     IdentityId.SWAP_EXPANSION: 1,
     IdentityId.BELL_EXPANSION: 1,
@@ -360,18 +350,18 @@ KRON_SUMS_ALONE = {
     IdentityId.FOUROPS_2: 1,
     IdentityId.FOUROPS_3: 1,
     IdentityId.BELLBELL_TENSOR: 1,
-    IdentityId.SWAPBELL_TENSOR: 2,
+    IdentityId.SWAPBELL_TENSOR: 1,
 }
 
 
 class TestSharedOperands:
-    """One operand set per run: two basis sums, one trace Gram, the rest by permutation."""
+    """One operand set per run: one basis sum, one trace Gram, the rest by index moves."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = dict.fromkeys(("kron_sum", "_trace_gram", "swap_operator", "bell_projector"), 0)
         for name in counts:
-            # the basis builds K_swap and K_bell, the run everything else
+            # the basis builds its one sum, the run everything else
             module = bases if name == "kron_sum" else identities
             original = getattr(module, name)
 
@@ -385,7 +375,7 @@ class TestSharedOperands:
     def test_full_run_builds_each_operand_once(self, calls):
         report = run_catalogue(weyl_basis(3))
         assert report.all_passed
-        assert calls == {"kron_sum": 2, "_trace_gram": 1, "swap_operator": 1, "bell_projector": 1}
+        assert calls == {"kron_sum": 1, "_trace_gram": 1, "swap_operator": 1, "bell_projector": 1}
 
     def test_any_subset_builds_each_operand_at_most_once(self, calls):
         subsets = [[i] for i in ALL_IDS] + [list(p) for p in itertools.combinations(ALL_IDS, 2)]
@@ -394,7 +384,7 @@ class TestSharedOperands:
             for name in calls:
                 calls[name] = 0
             run_catalogue(gellmann_basis(2), ids=subset)
-            assert calls["kron_sum"] <= 2, subset
+            assert calls["kron_sum"] <= 1, subset
             assert calls["_trace_gram"] <= 1 and calls["swap_operator"] <= 1, subset
             assert calls["bell_projector"] <= 1, subset
 
@@ -412,11 +402,11 @@ class TestSharedOperands:
         s = _Operands(_random_elements_basis(d), 0)
         g, gc, gd = s.g, s.gc, s.gd
         k_swap, k_bell = s.basis.swap_sum, s.basis.bell_sum
-        swapped = [(_swap_conjugate(k_swap, d), gd, g), (s.k_bell_swapped, gc, g)]
-        for got, x, y in swapped:
+        derived = [(k_swap, g, gd), (dagger(k_swap), gd, g), (k_bell.conj(), gc, g)]
+        for got, x, y in derived:
             assert _close(got, sum(oracles.kron_loops(a, b) for a, b in zip(x, y)))
         a = oracles.random_matrix(d, np.random.default_rng(d))
-        sandwiches = [(k_swap, g, gc), (k_bell, g, gd), (s.k_bell_swapped.T, gd, g)]
+        sandwiches = [(k_swap, g, gc), (k_bell, g, gd), (dagger(k_bell), gd, g)]
         for superop, x, y in sandwiches:
             assert _close(apply_superop(superop, a), oracles.sandwich_loops(x, a, y))
 
