@@ -29,6 +29,7 @@ from hsbasis.linalg import (
     dagger,
     hs_inner,
     kron_sum,
+    partial_transpose,
     product_sum,
     sandwich_sum,
     tensor,
@@ -240,6 +241,24 @@ class TestFourFactorKernels:
         product, kron = oracles.four_factor_loops(x, y, z, w)
         assert _close(_pair_product_sum(sandwich_sum(x, z), y, w), product)
         assert _close(kron_sum(x, z) @ kron_sum(y, w), kron)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_index_moves_act_on_the_factors(self, d, n):
+        # the catalogue reads every sum off one kron_sum by these moves
+        rng = np.random.default_rng(40 * d + n)
+        x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
+        k = kron_sum(x, y)
+        moved = [
+            (partial_transpose(k, 2, d), x, y.swapaxes(-1, -2)),
+            (dagger(k), dagger(x), dagger(y)),
+            (k.conj(), x.conj(), y.conj()),
+        ]
+        for got, a, b in moved:
+            assert _close(got, sum(oracles.kron_loops(a[i], b[i]) for i in range(n)))
+        m = oracles.random_matrix(d, rng)
+        adjoint = apply_superop(dagger(sandwich_sum(x, y)), m)
+        assert _close(adjoint, oracles.sandwich_loops(dagger(x), m, dagger(y)))
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("d", [2, 3, 4])
