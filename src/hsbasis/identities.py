@@ -6,31 +6,35 @@ residual, or the absolute difference for scalar equalities. The
 catalogue is closed: :data:`_CATALOGUE` is the one table of ids,
 formulas, residuals and tolerance kinds.
 
-Costs for d x d elements: every entry is O(d^6) or less, and no stack
-longer than the d^2 basis elements is built. The two-factor sums take
-O(d^5), the two expansions O(d^6), and the two seeded checks on random
-A, B O(d^4): they read (A (x) B) SWAP off reshuffle(SWAP) without
-forming A (x) B (:meth:`_Operands.swap_trace`). The four-factor sums run over
-the d^4 pairs (m, n) of elements but factor through the mixed-product
-rule (A (x) B)(C (x) D) = AC (x) BD into sums over single elements:
+Every basis-sum entry has one g and one g^* per summation index, so it
+is a contraction of the completeness tensor
+T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l] (= d delta_ik delta_jl for an
+orthogonal basis) with itself. T is an O(d^4) index move of the basis's
+one sum, K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`,
+built once in O(d^6) and shared with the maps and expansions on the same
+basis): T = reshuffle(K). Indices a, b are free, the others summed:
 
-- sum_mn x_m y_n (x) z_m w_n = (sum_m x_m (x) z_m)(sum_n y_n (x) w_n), a
-  product of two :func:`hsbasis.linalg.kron_sum` results, O(d^6);
-- sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n with the superoperator
-  S(Y) = sum_m x_m Y z_m (:func:`hsbasis.linalg.sandwich_sum`), built
-  and applied to the y stack in O(d^6);
-- the trace-weighted sums go through M[m,n] = Tr(g_m g_n), one
-  d^2 x d^2 matrix product, O(d^6).
+- O(d^3) partial traces: sum g g^dag = T[a,i,b,i], sum g g^* = T[a,i,i,b],
+  sum Tr(g) g^dag = T[i,i,b,a], sum Tr(g) g^* = T[i,i,a,b] and
+  sum |Tr g|^2 = T[i,i,j,j];
+- O(d^5), one d x d^3 by d^3 x d product each (:func:`_chain`):
+  fourops_1 = T[j,k,i,a] T[i,j,b,k], fourops_2 = T[a,i,j,k] T[i,j,k,b],
+  fourops_3 = T[a,i,k,j] T[k,b,i,j] and
+  sum Tr(g_m g_n) (g_m g_n)^* = T[i,j,a,c] T[j,i,c,b];
+- O(d^4): sum |Tr(g_m g_n)|^2 = T[i,j,k,l] T[j,i,l,k].
 
-Every sum of both kinds reads one basis sum, K = sum g (x) g^* (the
-basis's :attr:`~hsbasis.bases.MatrixBasis.bell_sum`, built once in
-O(d^6) and shared with the maps and expansions on the same basis),
-through an exact O(d^4) index move or conjugation: sum g (x) g^dag is
-its party-2 transpose (:attr:`~hsbasis.bases.MatrixBasis.swap_sum`),
-sum g^dag (x) g the adjoint of that, and sum g^* (x) g is K^*. The
-superoperator sum x (x) z^T of S is swap_sum for (x, z) = (g, g^*), K
-for (g, g^dag) and K^dag for (g^dag, g). A run builds M once, on first use,
-together with SWAP, the Bell projector and A, B (one draw, one generator).
+The two expansions read K and its party-2 transpose sum g (x) g^dag
+(:attr:`~hsbasis.bases.MatrixBasis.swap_sum`). The three two-party
+four-factor sums are d^2 x d^2 products of these two sums, their adjoints
+or conjugates, by the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
+O(d^6) each; no d^4-long stack of pair products is built. The two seeded
+checks on random A, B cost O(d^4): they read (A (x) B) SWAP off
+reshuffle(SWAP) without forming A (x) B (:meth:`_Operands.swap_trace`).
+
+A run builds T, SWAP, the Bell projector and A, B (one draw, one
+generator) once each, on first use, and K once per basis. The trade-off:
+checked alone on a fresh basis, a two-factor entry builds K in O(d^6),
+where a sum over the d^2 elements would take O(d^5).
 """
 
 from __future__ import annotations
@@ -45,12 +49,9 @@ import numpy as np
 from .bases import MatrixBasis
 from .linalg import (
     apply_superop,
-    combine,
     dagger,
     frob_norm,
-    hs_gram,
     hs_inner,
-    product_sum,
     reshuffle,
     scalar_tolerance,
     tolerance,
@@ -99,16 +100,12 @@ class _Operands:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
         self.basis = basis
         self.d = basis.d
-        self.g = basis.elements
-        self.gc = self.g.conj()
-        self.gd = dagger(self.g)
-        self.tr = np.einsum("nii->n", self.g)
         self.seed = seed
 
     @cached_property
-    def m(self) -> np.ndarray:
-        """M[m,n] = Tr(g_m g_n)."""
-        return _trace_gram(self.g)
+    def t(self) -> np.ndarray:
+        """T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l], the basis's Bell sum reshuffled, O(d^4)."""
+        return reshuffle(self.basis.bell_sum, self.d).reshape((self.d,) * 4)
 
     @cached_property
     def swap(self) -> np.ndarray:
@@ -131,24 +128,16 @@ class _Operands:
         return apply_superop(reshuffle(self.swap, self.d), b.T)
 
 
-def _pair_product_sum(sandwich: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_mn x_m y_n z_m w_n = sum_n S(y_n) w_n, given S = sandwich_sum(x, z)."""
-    return product_sum(apply_superop(sandwich, y), w)
-
-
-def _trace_gram(x: np.ndarray) -> np.ndarray:
-    """M[m,n] = Tr(x_m x_n) = Tr((x_m^*)^dag x_n^T) for a stack of d x d matrices."""
-    return hs_gram(x.conj(), np.swapaxes(x, -1, -2))
-
-
-def _trace_weighted_pair_sum(xc: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """sum_mn M[m,n] (x_m x_n)^* = sum_m x_m^* (sum_n M[m,n] x_n^*), given xc = x^*."""
-    return product_sum(xc, combine(m, xc))
+def _chain(t: np.ndarray, left, right) -> np.ndarray:
+    """C[a,b] = sum_pqr L[a,p,q,r] R[p,q,r,b] for L, R = t.transpose(left), t.transpose(right),
+    as one d x d^3 by d^3 x d matrix product, O(d^5)."""
+    d = len(t)
+    return t.transpose(left).reshape(d, -1) @ t.transpose(right).reshape(-1, d)
 
 
 def _distance(lhs, rhs) -> float:
     """Frobenius distance; a number on the right of a matrix means that multiple of 1."""
-    diff = np.array(lhs, dtype=complex)
+    diff = np.array(lhs, dtype=complex, order="C")
     target = diff.reshape(-1)[:: len(diff) + 1] if diff.ndim == 2 and np.ndim(rhs) == 0 else diff
     target -= rhs
     return frob_norm(diff)
@@ -177,17 +166,17 @@ _CATALOGUE = {
     ),
     IdentityId.GG_DAGGER_SUM: (
         "sum g g^dag == d^2 1",
-        lambda s: _distance(product_sum(s.g, s.gd), s.d**2),
+        lambda s: _distance(np.trace(s.t, axis1=1, axis2=3), s.d**2),
         tolerance,
     ),
     IdentityId.TRACE_WEIGHTED_SUM: (
         "sum Tr(g) g^dag == d 1",
-        lambda s: _distance(combine(s.tr, s.gd), s.d),
+        lambda s: _distance(np.trace(s.t, axis1=0, axis2=1).T, s.d),
         tolerance,
     ),
     IdentityId.TRACE_NORM_SUM: (
         "sum |Tr g|^2 == d^2",
-        lambda s: _distance(np.sum(np.abs(s.tr) ** 2), s.d**2),
+        lambda s: _distance(np.trace(np.trace(s.t, axis1=0, axis2=1)), s.d**2),
         scalar_tolerance,
     ),
     IdentityId.BELL_EXPANSION: (
@@ -197,12 +186,12 @@ _CATALOGUE = {
     ),
     IdentityId.GG_CONJ_SUM: (
         "sum g g^* == d 1",
-        lambda s: _distance(product_sum(s.g, s.gc), s.d),
+        lambda s: _distance(np.trace(s.t, axis1=1, axis2=2), s.d),
         tolerance,
     ),
     IdentityId.TRACE_WEIGHTED_CONJ: (
         "sum Tr(g) g^* == d 1",
-        lambda s: _distance(combine(s.tr, s.gc), s.d),
+        lambda s: _distance(np.trace(s.t, axis1=0, axis2=1), s.d),
         tolerance,
     ),
     # four-factor sums over pairs (a,b), (j,k)
@@ -213,17 +202,17 @@ _CATALOGUE = {
     ),
     IdentityId.FOUROPS_1: (
         "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        lambda s: _distance(_pair_product_sum(dagger(s.basis.bell_sum), s.g, s.gd), s.d**2),
+        lambda s: _distance(_chain(s.t, (3, 2, 0, 1), (0, 1, 3, 2)), s.d**2),
         tolerance,
     ),
     IdentityId.FOUROPS_2: (
         "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        lambda s: _distance(_pair_product_sum(s.basis.swap_sum, s.g, s.gc), s.d**3),
+        lambda s: _distance(_chain(s.t, (0, 1, 2, 3), (0, 1, 2, 3)), s.d**3),
         tolerance,
     ),
     IdentityId.FOUROPS_3: (
         "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        lambda s: _distance(_pair_product_sum(s.basis.bell_sum, s.gc, s.g), s.d**2),
+        lambda s: _distance(_chain(s.t, (0, 1, 2, 3), (2, 0, 3, 1)), s.d**2),
         tolerance,
     ),
     IdentityId.BELLBELL_TENSOR: (
@@ -238,12 +227,12 @@ _CATALOGUE = {
     ),
     IdentityId.TR1_BELLBELL: (
         "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
-        lambda s: _distance(_trace_weighted_pair_sum(s.gc, s.m), s.d**3),
+        lambda s: _distance(_chain(s.t, (2, 0, 1, 3), (1, 0, 2, 3)), s.d**3),
         tolerance,
     ),
     IdentityId.TR12_BELLBELL: (
         "sum |Tr(g_ab g_jk)|^2 == d^4",
-        lambda s: _distance(np.sum(np.abs(s.m) ** 2), float(s.d) ** 4),
+        lambda s: _distance(s.t.ravel() @ s.t.transpose(1, 0, 3, 2).ravel(), float(s.d) ** 4),
         scalar_tolerance,
     ),
     # seeded random-operator checks, on the run's one draw of A, B

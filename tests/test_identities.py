@@ -14,13 +14,11 @@ from hsbasis.bases import (
     standard_basis,
     weyl_basis,
 )
-from hsbasis import bases, identities
+from hsbasis import bases, identities, linalg, maps, operators, transforms
 from hsbasis.identities import (
     IdentityId,
     _Operands,
-    _pair_product_sum,
-    _trace_gram,
-    _trace_weighted_pair_sum,
+    _distance,
     check_identity,
     run_catalogue,
 )
@@ -43,6 +41,8 @@ import oracles
 BUILTINS = [standard_basis, gellmann_basis, weyl_basis]
 
 ALL_IDS = list(IdentityId)
+SEEDED_IDS = [IdentityId.TRSWAP_CHOI, IdentityId.PURITY_LINK]
+BASIS_SUM_IDS = [i for i in ALL_IDS if i not in SEEDED_IDS]
 
 
 def test_catalogue_is_closed_at_17_entries():
@@ -235,11 +235,10 @@ class TestFourFactorKernels:
 
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_pair_sums(self, d, n):
+    def test_pair_kron_sums(self, d, n):
         rng = np.random.default_rng(10 * d + n)
         x, y, z, w = (_random_stack(n, d, rng) for _ in range(4))
-        product, kron = oracles.four_factor_loops(x, y, z, w)
-        assert _close(_pair_product_sum(sandwich_sum(x, z), y, w), product)
+        _, kron = oracles.four_factor_loops(x, y, z, w)
         assert _close(kron_sum(x, z) @ kron_sum(y, w), kron)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -267,20 +266,86 @@ class TestFourFactorKernels:
         x, y = _random_stack(n, d, rng), _random_stack(n, d, rng)
         assert _close(product_sum(x, y), sum(x[a] @ y[a] for a in range(n)))
 
-    @pytest.mark.parametrize("n", [3, 5])
+
+def _left_side(identity, basis):
+    """The matrix or number an entry compares with its right side, as the catalogue computes it."""
+    sides = []
+    real = identities._distance
+
+    def capture(lhs, rhs):
+        sides.append(np.copy(lhs))
+        return real(lhs, rhs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_distance", capture)
+        check_identity(identity, basis)
+    (lhs,) = sides
+    return lhs
+
+
+def _completeness_loops(g):
+    """T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l], one entry per iteration."""
+    d = len(g[0])
+    t = np.zeros((d,) * 4, dtype=complex)
+    for x in g:
+        for i, j, k, l in itertools.product(range(d), repeat=4):
+            t[i, j, k, l] += x[i, j] * np.conj(x[k, l])
+    return t
+
+
+def _completeness_reads_loops(g):
+    """The left side of every entry that reads T, by sums over the elements and pairs."""
+    gc = g.conj()
+    gd = gc.transpose(0, 2, 1)
+    n = len(g)
+    m = oracles.trace_gram_loops(g)
+    return {
+        IdentityId.GG_DAGGER_SUM: sum(x @ y for x, y in zip(g, gd)),
+        IdentityId.GG_CONJ_SUM: sum(x @ y for x, y in zip(g, gc)),
+        IdentityId.TRACE_WEIGHTED_SUM: oracles.combine_loops([np.trace(x) for x in g], gd),
+        IdentityId.TRACE_WEIGHTED_CONJ: oracles.combine_loops([np.trace(x) for x in g], gc),
+        IdentityId.TRACE_NORM_SUM: sum(abs(np.trace(x)) ** 2 for x in g),
+        IdentityId.FOUROPS_1: oracles.four_factor_loops(gd, g, g, gd)[0],
+        IdentityId.FOUROPS_2: oracles.four_factor_loops(g, g, gc, gc)[0],
+        IdentityId.FOUROPS_3: oracles.four_factor_loops(g, gc, gd, g)[0],
+        IdentityId.TR1_BELLBELL: sum(
+            m[a, b] * gc[a] @ gc[b] for a in range(n) for b in range(n)
+        ),
+        IdentityId.TR12_BELLBELL: sum(abs(v) ** 2 for v in m.ravel()),
+    }
+
+
+class TestCompletenessReads:
+    """Every entry that reads T against loops on random, non-orthogonal elements.
+
+    Random elements obey no completeness relation, so a wrong axis in a
+    partial trace or a permutation, or a missing transpose, changes the value
+    read; comparing values, not residuals, also catches a transposed or
+    conjugated result, which has the same distance from a multiple of 1.
+    """
+
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_trace_gram_and_weighted_sum(self, d, n):
-        rng = np.random.default_rng(30 * d + n)
-        x = _random_stack(n, d, rng)
-        m = oracles.trace_gram_loops(x)
-        weighted = sum(
-            m[a, b] * x[a].conj() @ x[b].conj() for a in range(n) for b in range(n)
-        )
-        assert _close(_trace_gram(x), m)
-        assert np.sum(np.abs(_trace_gram(x)) ** 2) == pytest.approx(
-            sum(abs(v) ** 2 for v in m.ravel()), rel=1e-12
-        )
-        assert _close(_trace_weighted_pair_sum(x.conj(), _trace_gram(x)), weighted)
+    def test_reads_match_loops(self, d):
+        basis = _random_elements_basis(d)
+        for identity, want in _completeness_reads_loops(basis.elements).items():
+            assert _close(_left_side(identity, basis), want), identity
+
+
+class TestDistance:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_scalar_is_subtracted_from_any_memory_layout(self, d):
+        # F-ordered arrays and transposed views, as np.trace over axes or .T return them
+        a = oracles.random_matrix(d, np.random.default_rng(d))
+        want = np.linalg.norm(a - 2 * np.eye(d))
+        assert _distance(np.asfortranarray(2 * np.eye(d)), 2) == 0.0
+        assert _distance(np.asfortranarray(a), 2) == pytest.approx(want, rel=1e-15)
+        assert _distance(a.T, 2) == pytest.approx(np.linalg.norm(a.T - 2 * np.eye(d)), rel=1e-15)
+
+    def test_inputs_are_not_modified(self):
+        a = np.asfortranarray(np.eye(2, dtype=complex))
+        _distance(a, 1)
+        _distance(a.T, 1)
+        assert np.array_equal(a, np.eye(2))
 
 
 def _pair_stack_residuals(g, d):
@@ -359,26 +424,12 @@ SHARED_BASES = {
     "haar_weyl": _haar_rotated_weyl,
 }
 
-# kron_sum calls each entry makes on its own: the basis's one sum, sum g (x) g^*,
-# for the SWAP and Bell families and swapbell, none for the rest
-KRON_SUMS_ALONE = {
-    IdentityId.SWAP_EXPANSION: 1,
-    IdentityId.BELL_EXPANSION: 1,
-    IdentityId.IDENTITY_4OP_TENSOR: 1,
-    IdentityId.FOUROPS_1: 1,
-    IdentityId.FOUROPS_2: 1,
-    IdentityId.FOUROPS_3: 1,
-    IdentityId.BELLBELL_TENSOR: 1,
-    IdentityId.SWAPBELL_TENSOR: 1,
-}
-
-
 class TestSharedOperands:
-    """One operand set per run: one basis sum, one trace Gram, the rest by index moves."""
+    """One operand set per run: one basis sum, the rest by index moves and contractions of T."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = dict.fromkeys(("kron_sum", "_trace_gram", "swap_operator", "bell_projector"), 0)
+        counts = dict.fromkeys(("kron_sum", "swap_operator", "bell_projector"), 0)
         for name in counts:
             # the basis builds its one sum, the run everything else
             module = bases if name == "kron_sum" else identities
@@ -394,7 +445,7 @@ class TestSharedOperands:
     def test_full_run_builds_each_operand_once(self, calls):
         report = run_catalogue(weyl_basis(3))
         assert report.all_passed
-        assert calls == {"kron_sum": 1, "_trace_gram": 1, "swap_operator": 1, "bell_projector": 1}
+        assert calls == {"kron_sum": 1, "swap_operator": 1, "bell_projector": 1}
 
     def test_any_subset_builds_each_operand_at_most_once(self, calls):
         subsets = [[i] for i in ALL_IDS] + [list(p) for p in itertools.combinations(ALL_IDS, 2)]
@@ -404,22 +455,58 @@ class TestSharedOperands:
                 calls[name] = 0
             run_catalogue(gellmann_basis(2), ids=subset)
             assert calls["kron_sum"] <= 1, subset
-            assert calls["_trace_gram"] <= 1 and calls["swap_operator"] <= 1, subset
+            assert calls["swap_operator"] <= 1, subset
             assert calls["bell_projector"] <= 1, subset
 
     @pytest.mark.parametrize("identity", ALL_IDS, ids=lambda i: i.value)
     def test_single_check_builds_only_its_operands(self, calls, identity):
+        # every basis-sum entry reads the basis's one sum, sum g (x) g^*, or T off it
         check_identity(identity, weyl_basis(3))
-        assert calls["kron_sum"] == KRON_SUMS_ALONE.get(identity, 0)
-        uses_m = identity in (IdentityId.TR1_BELLBELL, IdentityId.TR12_BELLBELL)
-        assert calls["_trace_gram"] == int(uses_m)
+        assert calls["kron_sum"] == int(identity in BASIS_SUM_IDS)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Calls of the matrix kernels, through whichever module's name they are made."""
+        counts = dict.fromkeys(("apply_superop", "hs_gram", "combine", "product_sum"), 0)
+        for module in (linalg, bases, identities, maps, operators, transforms):
+            for name in counts:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def counted(*args, _name=name, _original=original, **kwargs):
+                        counts[_name] += 1
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_basis_sum_entries_call_no_matrix_kernel(self, kernel_calls):
+        # T and the basis sums are read by partial traces, one d x d^3 product per
+        # four-factor entry and d^2 x d^2 products, with no Gram, superoperator
+        # application, combination or product sum anywhere in the package
+        basis = random_basis(4, 5)
+        kernel_calls.update(dict.fromkeys(kernel_calls, 0))  # the rotation that built it
+        assert run_catalogue(basis, ids=BASIS_SUM_IDS).all_passed
+        assert kernel_calls == dict.fromkeys(kernel_calls, 0)
+
+    def test_full_run_applies_a_superoperator_only_in_the_seeded_read_out(self, monkeypatch):
+        # of the matrix kernels, identities keeps apply_superop alone, for swap_trace
+        assert not any(hasattr(identities, n) for n in ("hs_gram", "combine", "product_sum"))
+        calls = []
+        original = identities.apply_superop
+        monkeypatch.setattr(identities, "apply_superop", lambda *a: calls.append(a) or original(*a))
+        assert run_catalogue(random_basis(4, 5)).all_passed
+        assert len(calls) == 2  # W(B) once each for trswap_choi and purity_link
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_derived_operands_match_loops_on_a_non_orthogonal_stack(self, d):
         # random elements obey no orthogonality relation, so a wrong permutation,
         # transpose or conjugate in a derived operand cannot cancel out
         s = _Operands(_random_elements_basis(d), 0)
-        g, gc, gd = s.g, s.gc, s.gd
+        g = s.basis.elements
+        gc, gd = g.conj(), dagger(g)
+        assert s.t.shape == (d, d, d, d)
+        assert _close(s.t, _completeness_loops(g))
         k_swap, k_bell = s.basis.swap_sum, s.basis.bell_sum
         derived = [(k_swap, g, gd), (dagger(k_swap), gd, g), (k_bell.conj(), gc, g)]
         for got, x, y in derived:
@@ -458,8 +545,6 @@ class TestSharedOperands:
             for i in seeded:
                 assert got[i.value] == alone[i], (ids, i)
 
-
-SEEDED_IDS = [IdentityId.TRSWAP_CHOI, IdentityId.PURITY_LINK]
 
 
 def _with_swap(monkeypatch, x):
