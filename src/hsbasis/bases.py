@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import combine, dagger, frob_norm, hs_gram, kron_sum, partial_transpose, tolerance
+from .linalg import combine, dagger, frob_norm, kron_sum, partial_transpose, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -39,10 +39,11 @@ class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
     The element stack is made read-only on construction, so instances can
-    be shared freely. The maps and expansions read one basis sum,
-    sum g (x) g^*, built on first use in O(d^6), and its partial transpose
-    sum g (x) g^dag, an O(d^4) index move; both are kept read-only,
-    16 d^4 bytes each.
+    be shared freely. Validation, the maps, the expansions and the
+    catalogue read one basis sum, sum g (x) g^*, built on first use in
+    O(d^6), and its partial transpose sum g (x) g^dag, an O(d^4) index
+    move; both are kept read-only, 16 d^4 bytes each, for as long as the
+    basis lives, so a validated basis keeps the first.
     """
 
     d: int
@@ -170,20 +171,28 @@ NAMED_BASES = {
 
 
 def validate_basis(basis: MatrixBasis) -> IdentityReport:
-    """Check orthogonality: the Gram matrix must equal d times the identity.
+    """Check orthogonality through the completeness relation of the basis sum.
 
-    Reports the maximum entrywise deviation of Tr(g_p^dag g_q) from
-    d*delta_pq; the verdict is pass iff it stays within tolerance(d).
+    The residual is the Frobenius deviation of ``bell_sum`` = sum g (x) g^*
+    from d^2 |Phi+><Phi+|. Reshuffled, that is the deviation of the
+    completeness tensor G^T G^* from d times the identity, G the d^2 x d^2
+    matrix of rows vec(g). The Gram matrix G^* G^T has the same spectrum,
+    so the residual equals the Frobenius deviation of Tr(g_p^dag g_q)
+    from d*delta_pq and bounds its largest entry from above. It reads the
+    one sum the maps, expansions and catalogue share, with no product of
+    its own; the verdict is pass iff it stays within tolerance(d).
     """
-    gram = hs_gram(basis.elements, basis.elements)
-    residual = float(np.abs(gram - basis.d * np.eye(len(basis))).max())
-    tol = tolerance(basis.d)
+    d = basis.d
+    defect = np.array(basis.bell_sum)
+    defect[:: d + 1, :: d + 1] -= d
     check = IdentityCheck(
         id="basis_gram",
-        description=f"Tr(g_jk^dag g_lm) == {basis.d}*delta_jl*delta_km",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
+        description=(
+            f"sum g_jk (x) g_jk^* == {d}^2 |Phi+><Phi+|, "
+            f"i.e. Tr(g_jk^dag g_lm) == {d}*delta_jl*delta_km"
+        ),
+        residual=frob_norm(defect),
+        tolerance=tolerance(d),
     )
     return IdentityReport((check,))
 

@@ -271,14 +271,11 @@ def check_identity(identity, basis: MatrixBasis, seed: int = DEFAULT_SEED) -> Id
 
 def _check(identity: IdentityId, operands: _Operands) -> IdentityCheck:
     description, residual_of, tolerance_of = _CATALOGUE[identity]
-    residual = float(residual_of(operands))
-    tol = float(tolerance_of(operands.d))
     return IdentityCheck(
         id=identity.value,
         description=description,
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
+        residual=float(residual_of(operands)),
+        tolerance=float(tolerance_of(operands.d)),
     )
 
 

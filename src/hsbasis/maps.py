@@ -12,8 +12,8 @@ on the axes of the factor it acts on (conventions in :mod:`hsbasis.linalg`).
 The basis-expanded maps take it from the one sum a basis builds once in
 O(d^6), sum g (x) g^*, or from its O(d^4) partial transpose
 (:class:`~hsbasis.bases.MatrixBasis`), and apply it in O(d^4) to a d x d
-operand, O(d^6) to a two-party one; a Choi state applies L to party 1
-of that sum, and its read-out is O(d^4).
+operand, O(d^6) to a two-party one. A map's Choi state is the reshuffle
+of its superoperator, and the read-out reshuffles back, both in O(d^4).
 Conjugation is entrywise in the computational basis, in which the
 antisymmetric Gell-Mann elements used for state inversion are defined.
 """
@@ -188,14 +188,16 @@ def superop_from_action(
 def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
     """Choi representation C_L = (L (x) Id)|Phi+><Phi+| = (1/d^2) sum L(g) (x) g^*.
 
-    L acts on party 1 of the basis's ``bell_sum``, O(d^6) once that sum is built.
+    The paper's sum is the one behind the superoperator,
+    S = (1/d) sum vec(L(g)) vec(g^*)^T, so C_L = reshuffle(S) / d, an
+    O(d^4) index move; the basis only fixes the dimension.
     """
     d = basis.d
     if superop.d != d:
         raise ValueError(
             f"superoperator dimension {superop.d} does not match basis dimension {d}"
         )
-    return ChoiState(d, _two_sided(superop.matrix, basis.bell_sum, d, _PARTY_AXES[1]) / d**2)
+    return ChoiState(d, reshuffle(superop.matrix, d) / d)
 
 
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:

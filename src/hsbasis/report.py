@@ -15,7 +15,11 @@ class IdentityCheck:
     description: str
     residual: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """The verdict; a NaN residual fails."""
+        return self.residual <= self.tolerance
 
 
 @dataclass(frozen=True)

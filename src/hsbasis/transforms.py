@@ -64,7 +64,7 @@ def _require_valid(basis: MatrixBasis, role: str) -> None:
     if not report.all_passed:
         raise ValueError(
             f"{role} basis is not orthogonal with the dimension-d normalization "
-            f"(Gram deviation {report.checks[0].residual:.3e})"
+            f"(completeness residual {report.checks[0].residual:.3e})"
         )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hsbasis import bases
 from hsbasis.bases import (
     MatrixBasis,
     gellmann_basis,
@@ -130,6 +131,50 @@ class TestValidateBasis:
         report = validate_basis(MatrixBasis(d, elements))
         assert not report.all_passed
         assert report.checks[0].residual == pytest.approx(3 * d)
+
+    @staticmethod
+    def _gram_defect(elements, d):
+        return np.linalg.norm(oracles.gram_loops(list(elements)) - d * np.eye(d * d))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_residual_is_the_gram_defect_on_gaussian_stacks(self, d):
+        # G G^dag and G^dag G share their spectrum for any square G, orthogonal or not
+        rng = np.random.default_rng(60 + d)
+        g = np.array([oracles.random_matrix(d, rng) for _ in range(d * d)])
+        residual = validate_basis(MatrixBasis(d, g)).checks[0].residual
+        assert residual == pytest.approx(self._gram_defect(g, d), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_residual_is_the_gram_defect_on_perturbed_bases(self, d):
+        rng = np.random.default_rng(70 + d)
+        g = np.array(random_basis(d, rng).elements)
+        g[1] += 1e-9 * oracles.random_matrix(d, rng)
+        residual = validate_basis(MatrixBasis(d, g)).checks[0].residual
+        assert residual == pytest.approx(self._gram_defect(g, d), rel=1e-6)
+
+    def test_small_defect_fails_at_d16(self):
+        # a max-entry check would pass this: the largest Gram deviation, about
+        # 1.3e-8, is inside the 2.56e-8 tolerance; the Frobenius norm sees all of it
+        d = 16
+        g = np.array(weyl_basis(d).elements)
+        g[d + 1] += 1e-9 * oracles.random_matrix(d, np.random.default_rng(0))
+        assert validate_basis(weyl_basis(d)).all_passed
+        report = validate_basis(MatrixBasis(d, g))
+        assert not report.all_passed
+        assert report.checks[0].residual > 4 * tolerance(d)
+
+    def test_reads_the_basis_sum_and_forms_no_gram(self):
+        d = 3
+        complete = np.zeros((d * d, d * d), dtype=complex)
+        complete[:: d + 1, :: d + 1] = d  # d^2 |Phi+><Phi+|
+
+        class Completed(MatrixBasis):
+            bell_sum = complete
+
+        assert not hasattr(bases, "hs_gram")
+        # zero elements with an exact completeness sum pass: only the sum is read
+        report = validate_basis(Completed(d, np.zeros((d * d, d, d))))
+        assert report.checks[0].residual == 0.0
 
 
 class TestRotatedBasis:

@@ -430,17 +430,57 @@ class TestCorruptInput:
     @pytest.mark.parametrize("target", ["map", "verify"])
     @pytest.mark.parametrize("kind", CORRUPT_INPUTS)
     def test_under_warnings_as_errors(self, tmp_path, kind, target):
-        env = dict(os.environ)
-        src = str(Path(hsbasis.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "hsbasis", *self._argv(tmp_path, kind, target)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = _run_warnings_as_errors(self._argv(tmp_path, kind, target))
         self._assert_rejected(proc.returncode, proc.stdout, proc.stderr, tmp_path)
+
+
+def _run_warnings_as_errors(argv):
+    """Run the CLI in a subprocess with every warning raised as an error."""
+    env = dict(os.environ)
+    src = str(Path(hsbasis.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsbasis", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestOverflow:
+    """Finite input whose sums overflow double precision exits 2, with no warning."""
+
+    # command -> argv, with the paths of the overflowing files filled in
+    COMMANDS = {
+        "transform": ["transform", "--from", "file:{basis}", "--to", "weyl", "--dim", "2"],
+        "choi": ["choi", "--map", "transpose", "--basis", "file:{basis}"],
+        "map": ["map", "pt", "--basis", "file:{basis}", "--input", "{matrix}"],
+        "concurrence": ["concurrence", "--state", "{vector}"],
+    }
+
+    @classmethod
+    def _argv(cls, tmp_path, command):
+        files = {name: tmp_path / f"{name}.json" for name in ("basis", "matrix", "vector")}
+        huge = {**_ELEMENT, "entries": [[1e200, 0.0]] + _PAIRS[1:]}
+        files["basis"].write_text(_basis_doc(2, [huge] * 4))
+        save_matrix(np.eye(4), files["matrix"])
+        save_matrix(np.full((4, 1), 1e200), files["vector"])
+        argv = [arg.format(**files) for arg in cls.COMMANDS[command]]
+        return argv if command == "concurrence" else argv + ["--out", str(tmp_path / "out.json")]
+
+    @pytest.mark.parametrize("mode", ["in_process", "warnings_as_errors"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rejected(self, tmp_path, capsys, command, mode):
+        argv = self._argv(tmp_path, command)
+        if mode == "in_process":
+            code = main(argv)
+            captured = capsys.readouterr()
+            out, err = captured.out, captured.err
+        else:
+            proc = _run_warnings_as_errors(argv)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        TestCorruptInput._assert_rejected(code, out, err, tmp_path)
 
 
 class TestChoiFromMaps:
@@ -469,7 +509,8 @@ class TestChoiFromMaps:
 
     @pytest.mark.parametrize("name", list(CLOSED_FORMS))
     def test_one_basis_sum_per_run(self, tmp_path, monkeypatch, name):
-        # the map and the Choi matrix both read the basis's one sum
+        # the maps read the basis's one sum; the Choi matrix is an index move of
+        # the superoperator, so the identity action builds no sum at all
         calls = []
         original = bases.kron_sum
 
@@ -480,4 +521,4 @@ class TestChoiFromMaps:
         monkeypatch.setattr(bases, "kron_sum", counted)
         out = tmp_path / "c.json"
         assert run("choi", "--map", name, "--dim", "3", "--basis", "weyl", "--out", str(out)) == 0
-        assert len(calls) == 1
+        assert len(calls) == (0 if name == "identity" else 1)

@@ -35,6 +35,7 @@ from hsbasis.linalg import (
 )
 from hsbasis.maps import bloch_decompose, trace_map
 from hsbasis.operators import bell_projector, swap_operator
+from hsbasis.report import IdentityCheck, IdentityReport
 
 import oracles
 
@@ -63,6 +64,22 @@ def test_catalogue_basis_independence(d):
     for _ in range(20):
         report = run_catalogue(random_basis(d, rng), seed=9)
         assert report.all_passed, [c.id for c in report.failures]
+
+
+class TestVerdict:
+    """The verdict is derived from the residual, so a record cannot contradict it."""
+
+    @pytest.mark.parametrize(
+        "residual, passed", [(0.0, True), (1.0, True), (1.5, False), (float("nan"), False)]
+    )
+    def test_passes_iff_within_tolerance(self, residual, passed):
+        check = IdentityCheck("x", "x", residual, 1.0)
+        assert check.passed is passed
+        assert IdentityReport((check,)).all_passed is passed
+
+    def test_verdict_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            IdentityCheck("x", "x", 2.0, 1.0, passed=True)
 
 
 class TestIndividualChecks:

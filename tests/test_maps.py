@@ -12,6 +12,7 @@ from hsbasis.bases import (
     random_unitary,
     rotated_basis,
     standard_basis,
+    validate_basis,
     weyl_basis,
 )
 from hsbasis.linalg import (
@@ -47,6 +48,7 @@ from hsbasis.operators import (
     swap_expansion,
     swap_operator,
 )
+from hsbasis.transforms import to_standard
 
 from hsbasis import bases, identities, linalg, maps, operators
 from hsbasis.identities import run_catalogue
@@ -372,16 +374,25 @@ class TestChoi:
             assert np.linalg.norm(apply_via_choi(c, a) - expected) <= tolerance(d)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_matches_kronecker_loops_on_a_non_orthogonal_stack(self, d):
-        # Gaussian elements obey no orthogonality relation, so L on the wrong party
-        # or a missing conjugate cannot cancel out
+    def test_is_the_reshuffled_superoperator_on_a_non_orthogonal_stack(self, d):
+        # Gaussian elements obey no orthogonality relation, so a Choi matrix that
+        # read the elements instead of S alone could not match
         rng = np.random.default_rng(940 + d)
         g = np.array([oracles.random_matrix(d, rng) for _ in range(d * d)])
         superop = Superoperator(d, oracles.random_matrix(d * d, rng))
-        images = [(superop.matrix @ x.reshape(-1)).reshape(d, d) for x in g]
-        expected = sum(oracles.kron_loops(y, x.conj()) for y, x in zip(images, g)) / d**2
         got = choi_state(superop, MatrixBasis(d, g)).matrix
-        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(got, oracles.reshuffle_loops(superop.matrix, d) / d)
+
+    def test_reads_no_basis_sum(self):
+        class Unsummed(MatrixBasis):
+            @property
+            def bell_sum(self):
+                raise AssertionError("choi_state read the basis sum")
+
+        d = 3
+        superop = superop_from_action(lambda g: g.T, weyl_basis(d))
+        c = choi_state(superop, Unsummed(d, weyl_basis(d).elements))
+        assert np.linalg.norm(c.matrix - swap_operator(d) / d) <= tolerance(d)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -550,13 +561,15 @@ def count_kron_sums(monkeypatch):
 
 
 class TestSharedBasisSums:
-    """Every basis-sum map and expansion reads the one sum the basis builds once."""
+    """Validation, every basis-sum map and expansion read the one sum the basis builds once."""
 
     def test_everything_on_one_basis_builds_one_sum(self, monkeypatch):
         calls = count_kron_sums(monkeypatch)
         d = 3
         b = rotated_basis(weyl_basis(d), random_unitary(d * d, np.random.default_rng(5)))
         a = oracles.random_hermitian(d, np.random.default_rng(6))
+        assert validate_basis(b).all_passed
+        to_standard(b)
         swap = swap_expansion(b)
         bell_expansion(b)
         for party in (1, 2):
