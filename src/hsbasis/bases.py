@@ -51,8 +51,7 @@ class MatrixBasis:
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"basis dimension must be at least 2, got {self.d}")
+        check_dim(self.d)
         el = np.array(self.elements, dtype=complex)
         if el.shape != (self.d * self.d, self.d, self.d):
             raise ValueError(
@@ -96,9 +95,9 @@ class BasisSplit:
 
 
 def check_dim(d: int) -> None:
-    """Reject local dimensions below 2."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    """Reject a local dimension that is not an integer (numpy integers count) or is below 2."""
+    if not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
 
 
 def standard_basis(d: int) -> MatrixBasis:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio
 from .bases import NAMED_BASES, MatrixBasis
-from .identities import DEFAULT_SEED, IdentityId, coerce_identity_id, run_catalogue
+from .identities import DEFAULT_SEED, run_catalogue
 from .maps import (
     Superoperator,
     bloch_decompose,
@@ -111,12 +111,7 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     basis = _resolve_basis(args.basis, args.dim)
-    if args.ids is None:
-        ids = list(IdentityId)
-    else:
-        ids = [coerce_identity_id(name) for name in args.ids.split(",") if name]
-        if not ids:
-            raise ValueError("--ids must name at least one identity")
+    ids = None if args.ids is None else [name for name in args.ids.split(",") if name]
     report = run_catalogue(basis, ids=ids, seed=args.seed)
     for c in report.checks:
         if not np.isfinite(c.residual):
@@ -129,7 +124,7 @@ def _cmd_verify(args) -> int:
             "command": "verify",
             "dim": basis.d,
             "basis": args.basis,
-            "ids": [i.value for i in ids],
+            "ids": [c.id for c in report.checks],
             "seed": args.seed,
             "report": args.report,
         }
@@ -195,9 +190,8 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _add_basis_args(parser, with_dim: bool = True) -> None:
-    if with_dim:
-        parser.add_argument("--dim", type=int, default=None, help="local dimension d")
+def _add_basis_args(parser) -> None:
+    parser.add_argument("--dim", type=int, default=None, help="local dimension d")
     parser.add_argument(
         "--basis",
         default="gellmann",

@@ -3,8 +3,11 @@
 Every entry evaluates both sides of one equality for a concrete basis
 {g_jk} (normalized to Tr(g^dag g) = d) and reports the Frobenius-norm
 residual, or the absolute difference for scalar equalities. The
-catalogue is closed: :data:`_CATALOGUE` is the one table of ids,
-formulas, residuals and tolerance kinds.
+catalogue is closed: :data:`_CATALOGUE` is its one table, an ordered
+tuple of records, each holding an id, the formula, the residual and the
+tolerance model (:func:`~hsbasis.linalg.tolerance` unless the entry is
+a scalar sum). :class:`IdentityId` is built from the records' ids, so
+its members, their values and the default run order are the table's.
 
 Every basis-sum entry has one g and one g^* per summation index, so it
 is a contraction of the completeness tensor
@@ -18,8 +21,9 @@ basis): T = reshuffle(K). Indices a, b are free, the others summed:
   sum Tr(g) g^dag = T[i,i,b,a], sum Tr(g) g^* = T[i,i,a,b] and
   sum |Tr g|^2 = T[i,i,j,j];
 - O(d^5), one d x d^3 by d^3 x d product each (:func:`_chain`):
-  fourops_1 = T[j,k,i,a] T[i,j,b,k], fourops_2 = T[a,i,j,k] T[i,j,k,b],
-  fourops_3 = T[a,i,k,j] T[k,b,i,j] and
+  sum g_m^dag g_n g_m g_n^dag = T[j,k,i,a] T[i,j,b,k],
+  sum g_m g_n g_m^* g_n^* = T[a,i,j,k] T[i,j,k,b],
+  sum g_m g_n^* g_m^dag g_n = T[a,i,k,j] T[k,b,i,j] and
   sum Tr(g_m g_n) (g_m g_n)^* = T[i,j,a,c] T[j,i,c,b];
 - O(d^4): sum |Tr(g_m g_n)|^2 = T[i,j,k,l] T[j,i,l,k].
 
@@ -41,7 +45,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -57,34 +62,12 @@ from .linalg import (
     tolerance,
 )
 from .maps import bloch_decompose
-from .operators import bell_projector, swap_operator
+from .operators import bell_expansion, bell_projector, swap_expansion, swap_operator
 from .report import IdentityCheck, IdentityReport
 
 __all__ = ["IdentityId", "check_identity", "run_catalogue", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 0
-
-
-class IdentityId(enum.Enum):
-    """Tags of the identity catalogue; values are the CLI-facing names."""
-
-    SWAP_EXPANSION = "swap_expansion"
-    GG_DAGGER_SUM = "gg_dagger_sum"
-    TRACE_WEIGHTED_SUM = "trace_weighted_sum"
-    TRACE_NORM_SUM = "trace_norm_sum"
-    BELL_EXPANSION = "bell_expansion"
-    GG_CONJ_SUM = "gg_conj_sum"
-    TRACE_WEIGHTED_CONJ = "trace_weighted_conj"
-    IDENTITY_4OP_TENSOR = "identity_4op_tensor"
-    FOUROPS_1 = "fourops_1"
-    FOUROPS_2 = "fourops_2"
-    FOUROPS_3 = "fourops_3"
-    BELLBELL_TENSOR = "bellbell_tensor"
-    SWAPBELL_TENSOR = "swapbell_tensor"
-    TR1_BELLBELL = "tr1_bellbell"
-    TR12_BELLBELL = "tr12_bellbell"
-    TRSWAP_CHOI = "trswap_choi"
-    PURITY_LINK = "purity_link"
 
 
 class _Operands:
@@ -156,127 +139,134 @@ def _purity_link(s: _Operands) -> float:
     return max(abs(x - y) for x, y in itertools.combinations((via_swap, via_bloch, purity), 2))
 
 
-# id -> (description, residual, tolerance kind)
-_CATALOGUE = {
+@dataclass(frozen=True)
+class _Identity:
+    """One catalogue entry: its id, its formula, its residual on a run's operands,
+    and the tolerance model the residual is judged against at dimension d."""
+
+    id: str
+    formula: str
+    residual: Callable[[_Operands], float]
+    tolerance: Callable[[int], float] = tolerance
+
+
+# the catalogue in run order; IdentityId is built from it
+_CATALOGUE = (
     # two-factor sums
-    IdentityId.SWAP_EXPANSION: (
+    _Identity(
+        "swap_expansion",
         "SWAP == (1/d) sum g (x) g^dag",
-        lambda s: _distance(s.basis.swap_sum / s.d, s.swap),
-        tolerance,
+        lambda s: _distance(swap_expansion(s.basis), s.swap),
     ),
-    IdentityId.GG_DAGGER_SUM: (
+    _Identity(
+        "gg_dagger_sum",
         "sum g g^dag == d^2 1",
         lambda s: _distance(np.trace(s.t, axis1=1, axis2=3), s.d**2),
-        tolerance,
     ),
-    IdentityId.TRACE_WEIGHTED_SUM: (
+    _Identity(
+        "trace_weighted_sum",
         "sum Tr(g) g^dag == d 1",
         lambda s: _distance(np.trace(s.t, axis1=0, axis2=1).T, s.d),
-        tolerance,
     ),
-    IdentityId.TRACE_NORM_SUM: (
+    _Identity(
+        "trace_norm_sum",
         "sum |Tr g|^2 == d^2",
         lambda s: _distance(np.trace(np.trace(s.t, axis1=0, axis2=1)), s.d**2),
         scalar_tolerance,
     ),
-    IdentityId.BELL_EXPANSION: (
+    _Identity(
+        "bell_expansion",
         "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        lambda s: _distance(s.basis.bell_sum / s.d**2, s.bell),
-        tolerance,
+        lambda s: _distance(bell_expansion(s.basis), s.bell),
     ),
-    IdentityId.GG_CONJ_SUM: (
+    _Identity(
+        "gg_conj_sum",
         "sum g g^* == d 1",
         lambda s: _distance(np.trace(s.t, axis1=1, axis2=2), s.d),
-        tolerance,
     ),
-    IdentityId.TRACE_WEIGHTED_CONJ: (
+    _Identity(
+        "trace_weighted_conj",
         "sum Tr(g) g^* == d 1",
         lambda s: _distance(np.trace(s.t, axis1=0, axis2=1), s.d),
-        tolerance,
     ),
     # four-factor sums over pairs (a,b), (j,k)
-    IdentityId.IDENTITY_4OP_TENSOR: (
+    _Identity(
+        "identity_4op_tensor",
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
         lambda s: _distance(dagger(s.basis.swap_sum) @ s.basis.swap_sum / s.d**2, 1),
-        tolerance,
     ),
-    IdentityId.FOUROPS_1: (
+    _Identity(
+        "fourops_1",
         "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
         lambda s: _distance(_chain(s.t, (3, 2, 0, 1), (0, 1, 3, 2)), s.d**2),
-        tolerance,
     ),
-    IdentityId.FOUROPS_2: (
+    _Identity(
+        "fourops_2",
         "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
         lambda s: _distance(_chain(s.t, (0, 1, 2, 3), (0, 1, 2, 3)), s.d**3),
-        tolerance,
     ),
-    IdentityId.FOUROPS_3: (
+    _Identity(
+        "fourops_3",
         "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
         lambda s: _distance(_chain(s.t, (0, 1, 2, 3), (2, 0, 3, 1)), s.d**2),
-        tolerance,
     ),
-    IdentityId.BELLBELL_TENSOR: (
+    _Identity(
+        "bellbell_tensor",
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
         lambda s: _distance(s.basis.bell_sum @ s.basis.bell_sum / s.d**4, s.bell),
-        tolerance,
     ),
-    IdentityId.SWAPBELL_TENSOR: (
+    _Identity(
+        "swapbell_tensor",
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
         lambda s: _distance(s.basis.swap_sum @ s.basis.bell_sum.conj() / s.d**3, s.bell),
-        tolerance,
     ),
-    IdentityId.TR1_BELLBELL: (
+    _Identity(
+        "tr1_bellbell",
         "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
         lambda s: _distance(_chain(s.t, (2, 0, 1, 3), (1, 0, 2, 3)), s.d**3),
-        tolerance,
     ),
-    IdentityId.TR12_BELLBELL: (
+    _Identity(
+        "tr12_bellbell",
         "sum |Tr(g_ab g_jk)|^2 == d^4",
         lambda s: _distance(s.t.ravel() @ s.t.transpose(1, 0, 3, 2).ravel(), float(s.d) ** 4),
         scalar_tolerance,
     ),
     # seeded random-operator checks, on the run's one draw of A, B
-    IdentityId.TRSWAP_CHOI: (
-        "Tr_2(A (x) B SWAP) == A B for random A, B",
-        _trswap_choi,
-        tolerance,
-    ),
-    IdentityId.PURITY_LINK: (
+    _Identity("trswap_choi", "Tr_2(A (x) B SWAP) == A B for random A, B", _trswap_choi),
+    _Identity(
+        "purity_link",
         "Tr(B^dag (x) B SWAP) == (1/d) sum |b_jk|^2 == Tr(B^dag B)",
         _purity_link,
         scalar_tolerance,
     ),
-}
+)
+
+IdentityId = enum.Enum(
+    "IdentityId",
+    [(entry.id.upper(), entry.id) for entry in _CATALOGUE],
+    module=__name__,
+    qualname="IdentityId",
+)
+IdentityId.__doc__ = "Tags of the identity catalogue, in run order; values are the CLI-facing names."
 
 
-def coerce_identity_id(value) -> IdentityId:
-    """Accept an IdentityId or its (case-insensitive) string name."""
-    if isinstance(value, IdentityId):
-        return value
-    try:
-        return IdentityId(str(value).lower())
-    except ValueError:
-        known = ", ".join(i.value for i in IdentityId)
-        raise ValueError(f"unknown identity {value!r}; known: {known}") from None
+def _entry(value) -> _Identity:
+    """The record of an IdentityId or of its (case-insensitive) string name."""
+    name = value.value if isinstance(value, IdentityId) else str(value).lower()
+    for entry in _CATALOGUE:
+        if entry.id == name:
+            return entry
+    known = ", ".join(entry.id for entry in _CATALOGUE)
+    raise ValueError(f"unknown identity {value!r}; known: {known}")
 
 
 def check_identity(identity, basis: MatrixBasis, seed: int = DEFAULT_SEED) -> IdentityCheck:
     """Evaluate one catalogue identity for the given basis.
 
-    The seed only affects the identities that draw random operators
-    (TRSWAP_CHOI, PURITY_LINK); results are deterministic given the seed.
+    The seed only affects the two entries that draw random operators;
+    results are deterministic given the seed.
     """
-    return _check(coerce_identity_id(identity), _Operands(basis, seed))
-
-
-def _check(identity: IdentityId, operands: _Operands) -> IdentityCheck:
-    description, residual_of, tolerance_of = _CATALOGUE[identity]
-    return IdentityCheck(
-        id=identity.value,
-        description=description,
-        residual=float(residual_of(operands)),
-        tolerance=float(tolerance_of(operands.d)),
-    )
+    return run_catalogue(basis, [identity], seed).checks[0]
 
 
 def run_catalogue(
@@ -284,10 +274,22 @@ def run_catalogue(
     ids: Iterable | None = None,
     seed: int = DEFAULT_SEED,
 ) -> IdentityReport:
-    """Run the whole catalogue (or a subset) and collect the residuals.
+    """Run the whole catalogue (or a non-empty subset, in the order given).
 
     The entries share one set of operands, so each basis sum is built once.
     """
-    selected = list(IdentityId) if ids is None else [coerce_identity_id(i) for i in ids]
+    selected = _CATALOGUE if ids is None else [_entry(i) for i in ids]
+    if not selected:
+        raise ValueError("ids must name at least one identity")
     operands = _Operands(basis, seed)
-    return IdentityReport(tuple(_check(i, operands) for i in selected))
+    return IdentityReport(
+        tuple(
+            IdentityCheck(
+                id=entry.id,
+                description=entry.formula,
+                residual=float(entry.residual(operands)),
+                tolerance=float(entry.tolerance(operands.d)),
+            )
+            for entry in selected
+        )
+    )

@@ -101,9 +101,14 @@ def _as_two_party(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(d, d, d, d)
 
 
-def _check_party(party: int) -> None:
+_PARTY_AXES = {1: (0, 2), 2: (1, 3)}  # the axes of B[j,k,l,m] that each party spans
+
+
+def _party_axes(party: int) -> tuple[int, int]:
+    """The axes of the 4-index tensor B[j,k,l,m] that party 1 or 2 spans."""
     if party not in (1, 2):
         raise ValueError(f"party must be 1 or 2, got {party!r}")
+    return _PARTY_AXES[party]
 
 
 def partial_trace(m: np.ndarray, party: int, d: int) -> np.ndarray:
@@ -112,11 +117,8 @@ def partial_trace(m: np.ndarray, party: int, d: int) -> np.ndarray:
     Party 1 is the left factor, party 2 the right one; the result is a
     d x d matrix with the same total trace as the input.
     """
-    _check_party(party)
-    t = _as_two_party(m, d)
-    if party == 1:
-        return np.einsum("jkjm->km", t)
-    return np.einsum("jklk->jl", t)
+    axis1, axis2 = _party_axes(party)
+    return np.trace(_as_two_party(m, d), axis1=axis1, axis2=axis2)
 
 
 def partial_transpose(m: np.ndarray, party: int, d: int) -> np.ndarray:
@@ -125,16 +127,13 @@ def partial_transpose(m: np.ndarray, party: int, d: int) -> np.ndarray:
     For party 2: B[jk,lm] -> B[jm,lk]; for party 1: B[jk,lm] -> B[lk,jm].
     Involutive.
     """
-    _check_party(party)
-    t = _as_two_party(m, d)
-    perm = (0, 3, 2, 1) if party == 2 else (2, 1, 0, 3)
-    return t.transpose(perm).reshape(d * d, d * d)
+    axes = _party_axes(party)
+    return _as_two_party(m, d).swapaxes(*axes).reshape(d * d, d * d)
 
 
 def reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     """Reshuffling B[jk,lm] -> B[jl,km] of a two-party operator. Involutive."""
-    t = _as_two_party(m, d)
-    return t.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return _as_two_party(m, d).swapaxes(1, 2).reshape(d * d, d * d)
 
 
 def vectorize(a: np.ndarray) -> np.ndarray:

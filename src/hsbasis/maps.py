@@ -29,7 +29,7 @@ import numpy as np
 from .bases import MatrixBasis, gellmann_y_elements
 from .linalg import (
     _as_two_party,
-    _check_party,
+    _party_axes,
     apply_superop,
     basis_sum,
     combine,
@@ -143,9 +143,6 @@ def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     return product_sum(inner, g) / basis.d**2
 
 
-_PARTY_AXES = {1: (0, 2), 2: (1, 3)}  # the axes of B[j,k,l,m] that each party spans
-
-
 def _two_sided(s: np.ndarray, b: np.ndarray, d: int, axes) -> np.ndarray:
     """Apply the superoperator ``s`` to the factors of the two-party ``b`` on ``axes``."""
     return apply_superop(s, _as_two_party(b, d), axes).reshape(d * d, d * d)
@@ -159,8 +156,7 @@ def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.n
     basis's ``swap_sum``, applied to B on the chosen factor in O(d^6).
     Matches the raw index swap of :func:`hsbasis.linalg.partial_transpose`.
     """
-    _check_party(party)
-    return _two_sided(basis.swap_sum, b, basis.d, _PARTY_AXES[party]) / basis.d
+    return _two_sided(basis.swap_sum, b, basis.d, _party_axes(party)) / basis.d
 
 
 def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
@@ -263,7 +259,7 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     _check_hermitian(b, tolerance(d * d), "state-inversion input")
     ys = gellmann_y_elements(d)
     s = sandwich_sum(ys, ys)
-    inverted = _two_sided(s, _two_sided(s, b.conj(), d, _PARTY_AXES[2]), d, _PARTY_AXES[1])
+    inverted = _two_sided(s, _two_sided(s, b.conj(), d, _party_axes(2)), d, _party_axes(1))
     return 4.0 * inverted / d**2
 
 

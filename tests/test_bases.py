@@ -266,6 +266,19 @@ class TestMatrixBasisStructure:
         with pytest.raises(ValueError, match="at least 2"):
             MatrixBasis(1, np.zeros((1, 1, 1)))
 
+    @pytest.mark.parametrize("d", [2.0, np.float64(2.0), "2", None])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ValueError, match="integer of at least 2"):
+            MatrixBasis(d, gellmann_basis(2).elements)
+        for builder in (standard_basis, gellmann_basis, weyl_basis):
+            with pytest.raises(ValueError, match="integer of at least 2"):
+                builder(d)
+
+    @pytest.mark.parametrize("d", [np.int64(2), np.int32(3)])
+    def test_numpy_integer_dimension_accepted(self, d):
+        assert validate_basis(MatrixBasis(d, weyl_basis(int(d)).elements)).all_passed
+        assert standard_basis(d).d == d
+
     def test_wrong_element_count(self):
         with pytest.raises(ValueError, match="elements"):
             MatrixBasis(2, np.zeros((3, 2, 2)))

@@ -91,6 +91,14 @@ class TestVerify:
         assert code == 2
         assert "unknown identity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ids", [",", ",,", ""])
+    def test_empty_ids_exits_2_with_one_line(self, capsys, ids):
+        code = run("verify", "--dim", "2", "--ids", ids)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "hsbasis: ids must name at least one identity\n"
+
     def test_basis_file_dim_mismatch_exits_2(self, tmp_path, capsys):
         path = tmp_path / "b.json"
         save_basis(gellmann_basis(2), path)

@@ -1,6 +1,8 @@
 """Tests for the executable identity catalogue."""
 
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from hsbasis.linalg import (
     partial_transpose,
     product_sum,
     sandwich_sum,
+    scalar_tolerance,
     tensor,
     tolerance,
 )
@@ -48,6 +51,38 @@ BASIS_SUM_IDS = [i for i in ALL_IDS if i not in SEEDED_IDS]
 
 def test_catalogue_is_closed_at_17_entries():
     assert len(ALL_IDS) == 17
+
+
+class TestCatalogueTable:
+    """IdentityId, check_identity and run_catalogue all read the one table of records."""
+
+    def test_identity_ids_are_the_records_in_order(self):
+        assert [i.value for i in IdentityId] == [e.id for e in identities._CATALOGUE]
+        assert [i.name for i in IdentityId] == [e.id.upper() for e in identities._CATALOGUE]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_records_reach_check_identity(self, d):
+        basis = weyl_basis(d)
+        for entry in identities._CATALOGUE:
+            check = check_identity(entry.id, basis)
+            assert (check.id, check.description) == (entry.id, entry.formula)
+            assert check.tolerance == entry.tolerance(d)
+
+    def test_only_the_scalar_sums_take_the_scalar_tolerance(self):
+        scalar = {e.id for e in identities._CATALOGUE if e.tolerance is scalar_tolerance}
+        assert scalar == {"trace_norm_sum", "tr12_bellbell", "purity_link"}
+        others = [e for e in identities._CATALOGUE if e.id not in scalar]
+        assert all(e.tolerance is tolerance for e in others)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_identity_ids_pickle_round_trip(self, protocol):
+        for identity in IdentityId:
+            assert pickle.loads(pickle.dumps(identity, protocol)) is identity
+
+    @pytest.mark.parametrize("ids", [[], (), iter([])])
+    def test_empty_selection_rejected(self, ids):
+        with pytest.raises(ValueError, match="at least one identity"):
+            run_catalogue(gellmann_basis(2), ids=ids)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -674,7 +709,8 @@ class TestSeedValidation:
         def refuse(*args):
             raise AssertionError("an entry ran")
 
-        monkeypatch.setattr(identities, "_check", refuse)
+        refusing = tuple(dataclasses.replace(e, residual=refuse) for e in identities._CATALOGUE)
+        monkeypatch.setattr(identities, "_CATALOGUE", refusing)
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
             run_catalogue(weyl_basis(2), ids=ids, seed=-1)
         for identity in ids or ALL_IDS:
