@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import combine, dagger, frob_norm, kron_sum, partial_transpose, tolerance
+from .linalg import combine, frob_norm, kron_sum, partial_transpose, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -43,7 +43,7 @@ class MatrixBasis:
     catalogue read one basis sum, sum g (x) g^*, built on first use in
     O(d^6), and its partial transpose sum g (x) g^dag, an O(d^4) index
     move; both are kept read-only, 16 d^4 bytes each, for as long as the
-    basis lives, so a validated basis keeps the first.
+    basis lives, so a validated or rotated basis keeps the first.
     """
 
     d: int
@@ -52,6 +52,7 @@ class MatrixBasis:
 
     def __post_init__(self) -> None:
         check_dim(self.d)
+        object.__setattr__(self, "d", int(self.d))
         el = np.array(self.elements, dtype=complex)
         if el.shape != (self.d * self.d, self.d, self.d):
             raise ValueError(
@@ -196,12 +197,20 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
     return IdentityReport((check,))
 
 
+def require_orthogonal(basis: MatrixBasis, fault: str) -> None:
+    """Raise ValueError with `fault` and the completeness residual unless validate_basis passes."""
+    report = validate_basis(basis)
+    if not report.all_passed:
+        raise ValueError(f"{fault} (completeness residual {report.checks[0].residual:.3e})")
+
+
 def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:
     """New basis h_jk = sum_lm U[jk,lm] g_lm for a unitary coefficient matrix.
 
     ``u`` may be a plain d^2 x d^2 array or any object with a ``coeffs``
-    attribute (such as a BasisChange). Unitarity of the coefficients is
-    what preserves orthogonality, so it is enforced here.
+    attribute (such as a BasisChange). The result must pass validate_basis,
+    whose residual is d ||U^dag U - 1||_F for an orthogonal input basis;
+    it is returned holding the ``bell_sum`` that check built.
     """
     coeffs = np.asarray(getattr(u, "coeffs", u), dtype=complex)
     n = basis.d * basis.d
@@ -209,12 +218,9 @@ def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:
         raise ValueError(
             f"coefficient matrix must be {n}x{n} for d={basis.d}, got {coeffs.shape}"
         )
-    residual = frob_norm(dagger(coeffs) @ coeffs - np.eye(n))
-    if not residual <= tolerance(n):
-        raise ValueError(
-            f"coefficient matrix is not unitary (residual {residual:.3e})"
-        )
-    return MatrixBasis(basis.d, combine(coeffs, basis.elements), "custom")
+    rotated = MatrixBasis(basis.d, combine(coeffs, basis.elements), "custom")
+    require_orthogonal(rotated, "coefficient matrix is not unitary, or the basis not orthogonal")
+    return rotated
 
 
 def split_diag_offdiag(basis: MatrixBasis) -> BasisSplit | None:
@@ -254,5 +260,5 @@ def random_unitary(n: int, rng=None) -> np.ndarray:
 
 
 def random_basis(d: int, rng=None) -> MatrixBasis:
-    """Orthogonal basis obtained by a Haar-random rotation of the standard basis."""
+    """Haar-random rotation of the standard basis, validated and holding its ``bell_sum``."""
     return rotated_basis(standard_basis(d), random_unitary(d * d, rng))

@@ -97,13 +97,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+# name -> d -> the matrix written, in the order of the CLI choices
+_BUILDS = {
+    "swap": swap_operator,
+    "bell": lambda d: bell_state(d).reshape(-1, 1),
+    "coherent": lambda d: coherent_state(d).reshape(-1, 1),
+}
+
+
 def _cmd_build(args) -> int:
-    if args.operator == "swap":
-        fileio.save_matrix(swap_operator(args.dim), args.out)
-    elif args.operator == "bell":
-        fileio.save_matrix(bell_state(args.dim).reshape(-1, 1), args.out)
-    else:
-        fileio.save_matrix(coherent_state(args.dim).reshape(-1, 1), args.out)
+    fileio.save_matrix(_BUILDS[args.operator](args.dim), args.out)
     return 0
 
 
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="write SWAP, the Bell state, or the coherent state")
-    p.add_argument("operator", choices=("swap", "bell", "coherent"))
+    p.add_argument("operator", choices=tuple(_BUILDS))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)

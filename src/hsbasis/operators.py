@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bases import BasisSplit, MatrixBasis, check_dim, split_diag_offdiag
+from .bases import MatrixBasis, check_dim, split_diag_offdiag
 from .linalg import combine, dagger, kron_sum
 from .transforms import to_standard
 
@@ -49,14 +49,13 @@ def swap_expansion(basis: MatrixBasis) -> np.ndarray:
     return basis.swap_sum / basis.d
 
 
-def swap_diag_expansion(basis: MatrixBasis, split: BasisSplit | None = None) -> np.ndarray:
+def swap_diag_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum over diagonal elements of g_kk (x) g_kk^dag.
 
     Equals sum_j |jj><jj|, the matrix-diagonal part of SWAP, whenever the
     basis admits a diagonal/off-diagonal split; raises if it does not.
     """
-    if split is None:
-        split = split_diag_offdiag(basis)
+    split = split_diag_offdiag(basis)
     if split is None:
         raise ValueError("basis has no diagonal/off-diagonal split")
     g = basis.elements[list(split.diagonal)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSplit, MatrixBasis, validate_basis
+from .bases import BasisSplit, MatrixBasis, require_orthogonal
 from .linalg import hs_gram, tolerance
 
 __all__ = [
@@ -27,6 +27,9 @@ __all__ = [
     "from_standard",
     "block_structure",
 ]
+
+
+_NOT_ORTHOGONAL = "is not orthogonal with the dimension-d normalization"
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,6 @@ class BlockStructure:
     offdiagonal: np.ndarray  # (d(d-1), d(d-1))
 
 
-def _require_valid(basis: MatrixBasis, role: str) -> None:
-    report = validate_basis(basis)
-    if not report.all_passed:
-        raise ValueError(
-            f"{role} basis is not orthogonal with the dimension-d normalization "
-            f"(completeness residual {report.checks[0].residual:.3e})"
-        )
-
-
 def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:
     """Coefficients S with target_jk = sum_lm S[jk,lm] source_lm.
 
@@ -78,8 +72,8 @@ def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:
         raise ValueError(
             f"dimension mismatch between bases: target d={target.d}, source d={source.d}"
         )
-    _require_valid(target, "target")
-    _require_valid(source, "source")
+    require_orthogonal(target, f"target basis {_NOT_ORTHOGONAL}")
+    require_orthogonal(source, f"source basis {_NOT_ORTHOGONAL}")
     return BasisChange(target.d, hs_gram(source.elements, target.elements).T / target.d)
 
 
@@ -88,7 +82,7 @@ def to_standard(basis: MatrixBasis) -> BasisChange:
 
     Read off directly from the entries: U[jk,lm] = (g_jk)_lm / sqrt(d).
     """
-    _require_valid(basis, "input")
+    require_orthogonal(basis, f"input basis {_NOT_ORTHOGONAL}")
     n = basis.d * basis.d
     coeffs = basis.elements.reshape(n, n) / np.sqrt(basis.d)
     return BasisChange(basis.d, coeffs)

@@ -15,7 +15,7 @@ from hsbasis.bases import (
     validate_basis,
     weyl_basis,
 )
-from hsbasis.linalg import hs_inner, tolerance
+from hsbasis.linalg import combine, frob_norm, hs_inner, tolerance
 
 import oracles
 
@@ -215,6 +215,36 @@ class TestRotatedBasis:
     def test_nan_coefficients_rejected(self):
         with pytest.raises(ValueError, match="not unitary"):
             rotated_basis(weyl_basis(2), np.full((4, 4), np.nan))
+
+    @pytest.mark.parametrize("d, delta", [(4, 1e-8), (8, 1e-7), (16, 1e-7)])
+    @pytest.mark.parametrize("builder", BUILTINS, ids=lambda b: b.__name__)
+    def test_accepts_exactly_what_validation_passes(self, builder, d, delta):
+        # one entry of a Haar U moved by delta: ||U^dag U - 1|| ~ 1.4 delta is
+        # within 1e-10 n^2 (n = d^2), yet the rotated basis reads d times that
+        # against tolerance(d), so validation fails and so must the rotation
+        n = d * d
+        u = random_unitary(n, np.random.default_rng(700 + d))
+        u[0, 0] += delta
+        assert frob_norm(u.conj().T @ u - np.eye(n)) <= 1e-10 * n * n
+        g = builder(d)
+        assert not validate_basis(MatrixBasis(d, combine(u, g.elements))).all_passed
+        with pytest.raises(ValueError, match="not unitary"):
+            rotated_basis(g, u)
+
+    def test_non_orthogonal_basis_rejected(self):
+        stack = np.random.default_rng(12).standard_normal((9, 3, 3))
+        with pytest.raises(ValueError, match="completeness residual"):
+            rotated_basis(MatrixBasis(3, stack), np.eye(9))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("builder", BUILTINS, ids=lambda b: b.__name__)
+    def test_accepted_rotation_is_the_combination_holding_its_sum(self, builder, d):
+        g = builder(d)
+        u = random_unitary(d * d, np.random.default_rng(300 + d))
+        rotated = rotated_basis(g, u)
+        assert rotated.elements.tobytes() == combine(u, g.elements).tobytes()
+        assert "bell_sum" in vars(rotated)
+        assert validate_basis(rotated).all_passed
 
 
 class TestSplitDiagOffdiag:

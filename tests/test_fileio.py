@@ -124,10 +124,16 @@ class TestWrittenText:
         expected = np.atleast_2d(np.asarray(m, dtype=complex))
         assert load_matrix(path).tobytes() == np.ascontiguousarray(expected).tobytes()
 
-    def test_empty_matrix_text(self, tmp_path):
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (0,)])
+    def test_empty_matrix_refused(self, tmp_path, shape):
+        # the reader needs positive "rows" and "cols", so the writer refuses to write zero
         path = tmp_path / "m.json"
-        save_matrix(np.zeros((0, 3)), path)
-        assert_same_text(path.read_text(encoding="utf-8"), oracles.json_text(matrix_to_dict(np.zeros((0, 3)))))
+        written = np.atleast_2d(np.zeros(shape)).shape
+        with pytest.raises(ValueError, match=re.escape(str(written))):
+            save_matrix(np.zeros(shape), path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=re.escape(str(written))):
+            matrix_to_dict(np.zeros(shape))
 
     @pytest.mark.parametrize("name", WRITTEN_MATRICES)
     def test_matrix_to_dict_matches_loop(self, name):
@@ -270,6 +276,17 @@ class TestBasisFormat:
         assert loaded.d == 3
         assert loaded.kind == b.kind
         assert np.allclose(loaded.elements, b.elements)
+
+    @pytest.mark.parametrize("d", [np.int64(2), np.int32(3), np.uint8(2)])
+    def test_numpy_integer_dimension_round_trip(self, tmp_path, d):
+        b = MatrixBasis(d, weyl_basis(int(d)).elements, "weyl")
+        assert type(b.d) is int
+        path = tmp_path / "b.json"
+        save_basis(b, path)
+        assert path.read_text(encoding="utf-8") == oracles.json_text(basis_to_dict(b))
+        loaded = load_basis(path)
+        assert loaded.d == d and loaded.kind == "weyl"
+        assert loaded.elements.tobytes() == b.elements.tobytes()
 
     def test_wrong_element_count(self):
         doc = basis_to_dict(gellmann_basis(2))
