@@ -112,7 +112,8 @@ def standard_basis(d: int) -> MatrixBasis:
 
 def gellmann_y_elements(d: int) -> np.ndarray:
     """The antisymmetric Gell-Mann elements sqrt(d/2)(-i|k><l| + i|l><k|), k < l, k major."""
-    k, l = np.triu_indices(d, 1)
+    r = np.arange(d)
+    k, l = np.nonzero(r[:, None] < r)
     n = np.arange(len(k))
     half = np.sqrt(d / 2.0)
     y = np.zeros((len(k), d, d), dtype=complex)
@@ -134,7 +135,8 @@ def gellmann_basis(d: int) -> MatrixBasis:
     check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     el[0] = np.eye(d)
-    ks, ls = np.triu_indices(d, 1)
+    r = np.arange(d)
+    ks, ls = np.nonzero(r[:, None] < r)
     el[ks * d + ls, ks, ls] = el[ks * d + ls, ls, ks] = np.sqrt(d / 2.0)
     el[ls * d + ks] = gellmann_y_elements(d)
     l, j = np.arange(1, d)[:, None], np.arange(d)

@@ -220,5 +220,14 @@ def apply_superop(s: np.ndarray, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     if tuple(axes) != (-2, -1):
-        return np.moveaxis(apply_superop(s, np.moveaxis(a, axes, (-2, -1))), (-2, -1), axes)
+        # one transpose and its inverse, the permutation np.moveaxis(a, axes, (-2, -1)) takes
+        n = a.ndim
+        p, q = (ax + n if -n <= ax < 0 else ax for ax in axes)
+        if not (0 <= p < n and 0 <= q < n) or p == q:
+            raise ValueError(f"axes must be two distinct axes of a {n}-index array, got {axes!r}")
+        perm = [i for i in range(n) if i != p and i != q] + [p, q]
+        inverse = [0] * n
+        for i, ax in enumerate(perm):
+            inverse[ax] = i
+        return apply_superop(s, a.transpose(perm)).transpose(inverse)
     return (a.reshape(-1, s.shape[1]) @ s.T).reshape(a.shape)

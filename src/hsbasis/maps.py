@@ -16,6 +16,9 @@ operand, O(d^6) to a two-party one. A map's Choi state is the reshuffle
 of its superoperator, and the read-out reshuffles back, both in O(d^4).
 Conjugation is entrywise in the computational basis, in which the
 antisymmetric Gell-Mann elements used for state inversion are defined.
+The pure-state concurrence reads its sum over pairs of those elements
+off the y stack in O(d^5), without the d^2 x d^2 projector and the
+two-party inversion it equals.
 """
 
 from __future__ import annotations
@@ -264,19 +267,22 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
 
 
 def concurrence_squared(psi: np.ndarray) -> float:
-    """Squared concurrence Tr[|psi><psi| S(|psi><psi|)] of a pure two-party state.
+    """Squared concurrence (4/d^2) sum_{j<k, l<m} |<psi| y_jk (x) y_lm |psi^*>|^2 of a pure state.
 
-    ``psi`` is a unit vector of length d^2. The value also equals
-    (4/d^2) sum_{j<k, l<m} |<psi| y_jk (x) y_lm |psi^*>|^2 and ranges
-    from 0 (product states) to 2(1 - 1/d) (maximally entangled states).
+    ``psi`` is a unit vector of length d^2. The value equals
+    Tr[|psi><psi| S(|psi><psi|)] for the two-party state inversion S
+    and ranges from 0 (product states) to 2(1 - 1/d) (maximally
+    entangled states). With N the conjugate of ``psi`` read as a d x d
+    matrix, <psi| y_a (x) y_b |psi^*> = sum_ij y_a[i,j] (N y_b N^T)[i,j]:
+    the stack N y N^T costs O(d^5) and the (d(d-1)/2)^2 values Q[a,b]
+    one more ``hs_gram``, so no d^2 x d^2 array is formed.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     d = _local_dim(psi.size, "state vector length")
     norm = float(np.linalg.norm(psi))
     if not abs(norm - 1.0) <= tolerance(d):
         raise ValueError(f"state vector must be normalized, got norm {norm!r}")
-    projector = np.outer(psi, psi.conj())
-    inverted = state_inversion_two(projector)
-    value = float(np.vdot(psi, inverted @ psi).real)
-    # rounding can push an exact zero marginally negative
-    return max(value, 0.0)
+    n = psi.conj().reshape(d, d)
+    ys = gellmann_y_elements(d)
+    q = hs_gram(ys.conj(), n @ ys @ n.T)
+    return 4.0 * frob_norm(q) ** 2 / d**2

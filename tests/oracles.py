@@ -199,6 +199,28 @@ def gellmann_diagonal_loops(d):
     return el
 
 
+def gellmann_y_triu(d):
+    """The antisymmetric Gell-Mann elements, k < l in the order of np.triu_indices."""
+    k, l = np.triu_indices(d, 1)
+    n = np.arange(len(k))
+    half = np.sqrt(d / 2.0)
+    y = np.zeros((len(k), d, d), dtype=complex)
+    y[n, k, l] = -1j * half
+    y[n, l, k] = 1j * half
+    return y
+
+
+def gellmann_basis_triu(d):
+    """All Gell-Mann elements, off-diagonal pairs (k, l) placed by np.triu_indices."""
+    el = np.zeros((d * d, d, d), dtype=complex)
+    el[0] = np.eye(d)
+    ks, ls = np.triu_indices(d, 1)
+    el[ks * d + ls, ks, ls] = el[ks * d + ls, ls, ks] = np.sqrt(d / 2.0)
+    el[ls * d + ks] = gellmann_y_triu(d)
+    el[[l * d + l for l in range(1, d)]] = gellmann_diagonal_loops(d)
+    return el
+
+
 def weyl_basis_loops(d):
     """Weyl elements Z^j X^k omega^(-jk/2), one phase per matrix entry."""
     el = np.zeros((d * d, d, d), dtype=complex)

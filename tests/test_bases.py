@@ -336,6 +336,11 @@ class TestLoopFreeConstructions:
         diagonal = gellmann_basis(d).elements[[l * d + l for l in range(1, d)]]
         assert diagonal.tobytes() == oracles.gellmann_diagonal_loops(d).tobytes()
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_gellmann_order_bit_identical_to_triu_indices(self, d):
+        assert bases.gellmann_y_elements(d).tobytes() == oracles.gellmann_y_triu(d).tobytes()
+        assert gellmann_basis(d).elements.tobytes() == oracles.gellmann_basis_triu(d).tobytes()
+
 
 class TestBasisSums:
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -276,14 +276,14 @@ class TestSandwichKernel:
 
 
 def _apply_superop_via_moveaxis(s, a, axes):
-    """apply_superop as it reads with both moveaxis calls on every path."""
+    """Reference: np.moveaxis to the trailing axes and back, on every path."""
     a = np.moveaxis(np.asarray(a, dtype=complex), axes, (-2, -1))
     out = a.reshape(-1, s.shape[1]) @ s.T
     return np.moveaxis(out.reshape(a.shape), (-2, -1), axes)
 
 
 class TestApplySuperopTrailingAxes:
-    """The default (-2, -1) path skips np.moveaxis; it must not change a bit."""
+    """The default (-2, -1) path moves no axes; it must not change a bit."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("count", ["single", "one", "three", "full"])
@@ -296,7 +296,7 @@ class TestApplySuperopTrailingAxes:
         got = apply_superop(s, a)
         assert got.shape == a.shape
         assert np.array_equal(got, want)
-        # the same axes spelled out take the moveaxis path
+        # the same axes spelled out take the transpose path
         assert np.array_equal(apply_superop(s, a, (a.ndim - 2, a.ndim - 1)), want)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -307,6 +307,40 @@ class TestApplySuperopTrailingAxes:
         got = apply_superop(s, a, (1, 2))
         assert np.array_equal(got, apply_superop(s, a))
         assert np.array_equal(got, _apply_superop_via_moveaxis(s, a, (1, 2)))
+
+
+class TestApplySuperopAxes:
+    """Every axes pair np.moveaxis accepts gives its result bit for bit; the rest raise."""
+
+    @staticmethod
+    def _pairs(n):
+        spellings = range(-n, n)
+        return [(p, q) for p in spellings for q in spellings if p % n != q % n]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("ndim", [3, 4])
+    def test_every_pair_bit_identical_to_moveaxis(self, d, ndim):
+        rng = np.random.default_rng(100 + 10 * d + ndim)
+        s = oracles.random_matrix(d * d, rng)
+        a = rng.standard_normal((d,) * ndim) + 1j * rng.standard_normal((d,) * ndim)
+        pairs = self._pairs(ndim)
+        assert len(pairs) == 4 * ndim * (ndim - 1)
+        for axes in pairs:
+            got = apply_superop(s, a, axes)
+            assert got.shape == a.shape
+            assert np.array_equal(got, _apply_superop_via_moveaxis(s, a, axes)), axes
+
+    @pytest.mark.parametrize("ndim", [3, 4])
+    def test_out_of_range_or_repeated_axes_raise(self, ndim):
+        rng = np.random.default_rng(120 + ndim)
+        s = oracles.random_matrix(4, rng)
+        a = np.zeros((2,) * ndim, dtype=complex)
+        bad = [(ndim, 0), (0, ndim), (-ndim - 1, 1), (1, -ndim - 1), (0, 0), (1, 1 - ndim), (-1, ndim - 1)]
+        for axes in bad:
+            with pytest.raises(ValueError):
+                _apply_superop_via_moveaxis(s, a, axes)
+            with pytest.raises(ValueError):
+                apply_superop(s, a, axes)
 
 
 class TestFrobNorm:

@@ -489,13 +489,33 @@ class TestConcurrence:
         assert concurrence_squared(psi) == pytest.approx(expected, abs=1e-12)
         assert concurrence_squared(psi) == pytest.approx(2.0 * (1.0 - 1.0 / d), abs=1e-12)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("d", range(2, 17))
     def test_random_state_matches_reduced_purity(self, d):
         rng = np.random.default_rng(85 + d)
         for _ in range(3):
             psi = oracles.random_state(d * d, rng)
             expected = 2.0 * (1.0 - oracles.reduced_purity(psi, d))
             assert abs(concurrence_squared(psi) - expected) <= tolerance(d)
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_two_party_state_inversion(self, d):
+        rng = np.random.default_rng(140 + d)
+        for _ in range(3):
+            psi = oracles.random_state(d * d, rng)
+            inverted = state_inversion_two(np.outer(psi, psi.conj()))
+            expected = float(np.vdot(psi, inverted @ psi).real)
+            assert abs(concurrence_squared(psi) - expected) <= tolerance(d)
+
+    def test_reads_the_y_stack_not_the_two_party_inversion(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("concurrence_squared must not build a d^2 x d^2 inversion")
+
+        monkeypatch.setattr(maps, "state_inversion_two", forbidden)
+        monkeypatch.setattr(maps, "sandwich_sum", forbidden)
+        monkeypatch.setattr(linalg, "sandwich_sum", forbidden)
+        for d in (2, 3, 5):
+            psi = bell_state(d)
+            assert concurrence_squared(psi) == pytest.approx(2.0 * (1.0 - 1.0 / d), abs=1e-12)
 
     def test_d2_bell_is_one(self):
         assert concurrence_squared(bell_state(2)) == pytest.approx(1.0, abs=1e-12)
