@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import combine, frob_norm, kron_sum, partial_transpose, tolerance
+from .linalg import _deviation, _phi_grid, combine, kron_sum, partial_transpose, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -51,8 +51,7 @@ class MatrixBasis:
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        check_dim(self.d)
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", check_dim(self.d))
         el = np.array(self.elements, dtype=complex)
         if el.shape != (self.d * self.d, self.d, self.d):
             raise ValueError(
@@ -95,15 +94,16 @@ class BasisSplit:
     offdiagonal: tuple[int, ...]
 
 
-def check_dim(d: int) -> None:
-    """Reject a local dimension that is not an integer (numpy integers count) or is below 2."""
+def check_dim(d: int) -> int:
+    """d as a Python int, so d * d cannot overflow; ValueError unless an int or np.integer >= 2."""
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
+    return int(d)
 
 
 def standard_basis(d: int) -> MatrixBasis:
     """Matrix units scaled to the dimension-d normalization: e_jk = sqrt(d) |j><k|."""
-    check_dim(d)
+    d = check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     n = np.arange(d * d)
     el[n, n // d, n % d] = np.sqrt(d)
@@ -132,7 +132,7 @@ def gellmann_basis(d: int) -> MatrixBasis:
     For d=2 this reproduces the Pauli matrices in the order
     (identity, sigma_x, sigma_y, sigma_z).
     """
-    check_dim(d)
+    d = check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     el[0] = np.eye(d)
     r = np.arange(d)
@@ -155,7 +155,7 @@ def weyl_basis(d: int) -> MatrixBasis:
     phase: (0,0) -> identity, (0,1) -> sigma_x, (1,0) -> sigma_z,
     (1,1) -> -i ZX = sigma_y.
     """
-    check_dim(d)
+    d = check_dim(d)
     j, k, col = np.ogrid[:d, :d, :d]
     row = (col + k) % d
     el = np.zeros((d, d, d, d), dtype=complex)
@@ -182,18 +182,17 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
     so the residual equals the Frobenius deviation of Tr(g_p^dag g_q)
     from d*delta_pq and bounds its largest entry from above. It reads the
     one sum the maps, expansions and catalogue share, with no product of
-    its own; the verdict is pass iff it stays within tolerance(d).
+    its own, and subtracts d on the Phi+ grid through the catalogue's
+    residual kernel; the verdict is pass iff it stays within tolerance(d).
     """
     d = basis.d
-    defect = np.array(basis.bell_sum)
-    defect[:: d + 1, :: d + 1] -= d
     check = IdentityCheck(
         id="basis_gram",
         description=(
             f"sum g_jk (x) g_jk^* == {d}^2 |Phi+><Phi+|, "
             f"i.e. Tr(g_jk^dag g_lm) == {d}*delta_jl*delta_km"
         ),
-        residual=frob_norm(defect),
+        residual=_deviation(basis.bell_sum, d, _phi_grid(d)),
         tolerance=tolerance(d),
     )
     return IdentityReport((check,))
@@ -229,23 +228,14 @@ def split_diag_offdiag(basis: MatrixBasis) -> BasisSplit | None:
     """Partition the elements into purely diagonal and purely off-diagonal ones.
 
     Returns None when some element mixes diagonal and off-diagonal entries
-    (beyond tolerance) or the diagonal count is not d.
+    (beyond tolerance), has a NaN entry, or the diagonal count is not d.
     """
-    tol = tolerance(basis.d)
-    diagonal: list[int] = []
-    offdiagonal: list[int] = []
-    for idx, g in enumerate(basis.elements):
-        main = np.diag(g)
-        off = g - np.diag(main)
-        if frob_norm(off) <= tol:
-            diagonal.append(idx)
-        elif np.linalg.norm(main) <= tol:
-            offdiagonal.append(idx)
-        else:
-            return None
-    if len(diagonal) != basis.d:
+    d, tol, on = basis.d, tolerance(basis.d), np.eye(basis.d, dtype=bool)
+    main, off = (np.linalg.norm(basis.elements[:, mask], axis=1) for mask in (on, ~on))
+    diagonal, offdiagonal = off <= tol, (off > tol) & (main <= tol)
+    if np.isnan(main + off).any() or not np.all(diagonal | offdiagonal) or diagonal.sum() != d:
         return None
-    return BasisSplit(tuple(diagonal), tuple(offdiagonal))
+    return BasisSplit(*(tuple(np.flatnonzero(m).tolist()) for m in (diagonal, offdiagonal)))
 
 
 def random_unitary(n: int, rng=None) -> np.ndarray:
@@ -263,4 +253,5 @@ def random_unitary(n: int, rng=None) -> np.ndarray:
 
 def random_basis(d: int, rng=None) -> MatrixBasis:
     """Haar-random rotation of the standard basis, validated and holding its ``bell_sum``."""
+    d = check_dim(d)
     return rotated_basis(standard_basis(d), random_unitary(d * d, rng))

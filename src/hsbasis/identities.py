@@ -35,10 +35,13 @@ O(d^6) each; no d^4-long stack of pair products is built. The two seeded
 checks on random A, B cost O(d^4): they read (A (x) B) SWAP off
 reshuffle(SWAP) without forming A (x) B (:meth:`_Operands.swap_trace`).
 
-A run builds T, SWAP, the Bell projector and A, B (one draw, one
-generator) once each, on first use, and K once per basis. The trade-off:
-checked alone on a fresh basis, a two-factor entry builds K in O(d^6),
-where a sum over the d^2 elements would take O(d^5).
+A run builds T and A, B (one draw, one generator) once each, on first
+use, K once per basis, and SWAP only for the seeded checks. Every residual
+subtracts its right side in place from one copy of the left, only where the
+right side's entries are (:func:`~hsbasis.linalg._deviation`), so no dense
+SWAP or Bell projector is built. The trade-off: checked alone on a fresh
+basis, a two-factor entry builds K in O(d^6), where a sum over the d^2
+elements would take O(d^5).
 """
 
 from __future__ import annotations
@@ -53,16 +56,18 @@ import numpy as np
 
 from .bases import MatrixBasis
 from .linalg import (
+    _deviation,
+    _phi_grid,
+    _swap_support,
     apply_superop,
     dagger,
-    frob_norm,
     hs_inner,
     reshuffle,
     scalar_tolerance,
     tolerance,
 )
 from .maps import bloch_decompose
-from .operators import bell_expansion, bell_projector, swap_expansion, swap_operator
+from .operators import bell_expansion, swap_expansion, swap_operator
 from .report import IdentityCheck, IdentityReport
 
 __all__ = ["IdentityId", "check_identity", "run_catalogue", "DEFAULT_SEED"]
@@ -95,10 +100,6 @@ class _Operands:
         return swap_operator(self.d)
 
     @cached_property
-    def bell(self) -> np.ndarray:
-        return bell_projector(self.d)
-
-    @cached_property
     def random_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """A, B: d x d complex Gaussian matrices from one generator on the run's seed."""
         rng = np.random.default_rng(self.seed)
@@ -118,17 +119,9 @@ def _chain(t: np.ndarray, left, right) -> np.ndarray:
     return t.transpose(left).reshape(d, -1) @ t.transpose(right).reshape(-1, d)
 
 
-def _distance(lhs, rhs) -> float:
-    """Frobenius distance; a number on the right of a matrix means that multiple of 1."""
-    diff = np.array(lhs, dtype=complex, order="C")
-    target = diff.reshape(-1)[:: len(diff) + 1] if diff.ndim == 2 and np.ndim(rhs) == 0 else diff
-    target -= rhs
-    return frob_norm(diff)
-
-
 def _trswap_choi(s: _Operands) -> float:
     a, b = s.random_pair
-    return _distance(a @ s.swap_trace(b), a @ b)
+    return _deviation(a @ s.swap_trace(b), a @ b)
 
 
 def _purity_link(s: _Operands) -> float:
@@ -156,79 +149,81 @@ _CATALOGUE = (
     _Identity(
         "swap_expansion",
         "SWAP == (1/d) sum g (x) g^dag",
-        lambda s: _distance(swap_expansion(s.basis), s.swap),
+        lambda s: _deviation(swap_expansion(s.basis), 1, _swap_support(s.d)),
     ),
     _Identity(
         "gg_dagger_sum",
         "sum g g^dag == d^2 1",
-        lambda s: _distance(np.trace(s.t, axis1=1, axis2=3), s.d**2),
+        lambda s: _deviation(np.trace(s.t, axis1=1, axis2=3), s.d**2),
     ),
     _Identity(
         "trace_weighted_sum",
         "sum Tr(g) g^dag == d 1",
-        lambda s: _distance(np.trace(s.t, axis1=0, axis2=1).T, s.d),
+        lambda s: _deviation(np.trace(s.t, axis1=0, axis2=1).T, s.d),
     ),
     _Identity(
         "trace_norm_sum",
         "sum |Tr g|^2 == d^2",
-        lambda s: _distance(np.trace(np.trace(s.t, axis1=0, axis2=1)), s.d**2),
+        lambda s: _deviation(np.trace(np.trace(s.t, axis1=0, axis2=1)), s.d**2),
         scalar_tolerance,
     ),
     _Identity(
         "bell_expansion",
         "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        lambda s: _distance(bell_expansion(s.basis), s.bell),
+        lambda s: _deviation(bell_expansion(s.basis), 1 / s.d, _phi_grid(s.d)),
     ),
     _Identity(
         "gg_conj_sum",
         "sum g g^* == d 1",
-        lambda s: _distance(np.trace(s.t, axis1=1, axis2=2), s.d),
+        lambda s: _deviation(np.trace(s.t, axis1=1, axis2=2), s.d),
     ),
     _Identity(
         "trace_weighted_conj",
         "sum Tr(g) g^* == d 1",
-        lambda s: _distance(np.trace(s.t, axis1=0, axis2=1), s.d),
+        lambda s: _deviation(np.trace(s.t, axis1=0, axis2=1), s.d),
     ),
     # four-factor sums over pairs (a,b), (j,k)
     _Identity(
         "identity_4op_tensor",
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _distance(dagger(s.basis.swap_sum) @ s.basis.swap_sum / s.d**2, 1),
+        lambda s: _deviation(dagger(s.basis.swap_sum) @ s.basis.swap_sum / s.d**2, 1),
     ),
     _Identity(
         "fourops_1",
         "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        lambda s: _distance(_chain(s.t, (3, 2, 0, 1), (0, 1, 3, 2)), s.d**2),
+        lambda s: _deviation(_chain(s.t, (3, 2, 0, 1), (0, 1, 3, 2)), s.d**2),
     ),
     _Identity(
         "fourops_2",
         "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        lambda s: _distance(_chain(s.t, (0, 1, 2, 3), (0, 1, 2, 3)), s.d**3),
+        lambda s: _deviation(_chain(s.t, (0, 1, 2, 3), (0, 1, 2, 3)), s.d**3),
     ),
     _Identity(
         "fourops_3",
         "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        lambda s: _distance(_chain(s.t, (0, 1, 2, 3), (2, 0, 3, 1)), s.d**2),
+        lambda s: _deviation(_chain(s.t, (0, 1, 2, 3), (2, 0, 3, 1)), s.d**2),
     ),
     _Identity(
         "bellbell_tensor",
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        lambda s: _distance(s.basis.bell_sum @ s.basis.bell_sum / s.d**4, s.bell),
+        lambda s: _deviation(s.basis.bell_sum @ s.basis.bell_sum / s.d**4, 1 / s.d, _phi_grid(s.d)),
     ),
     _Identity(
         "swapbell_tensor",
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        lambda s: _distance(s.basis.swap_sum @ s.basis.bell_sum.conj() / s.d**3, s.bell),
+        lambda s: _deviation(
+            s.basis.swap_sum @ s.basis.bell_sum.conj() / s.d**3, 1 / s.d, _phi_grid(s.d)
+        ),
     ),
     _Identity(
         "tr1_bellbell",
         "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
-        lambda s: _distance(_chain(s.t, (2, 0, 1, 3), (1, 0, 2, 3)), s.d**3),
+        lambda s: _deviation(_chain(s.t, (2, 0, 1, 3), (1, 0, 2, 3)), s.d**3),
     ),
     _Identity(
         "tr12_bellbell",
         "sum |Tr(g_ab g_jk)|^2 == d^4",
-        lambda s: _distance(s.t.ravel() @ s.t.transpose(1, 0, 3, 2).ravel(), float(s.d) ** 4),
+        lambda s: _deviation(s.t.ravel() @ s.t.transpose(1, 0, 3, 2).ravel(), float(s.d) ** 4),
         scalar_tolerance,
     ),
     # seeded random-operator checks, on the run's one draw of A, B

@@ -73,6 +73,30 @@ def frob_norm(a: np.ndarray) -> float:
     return math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
 
 
+def _swap_support(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the ones of SWAP: row (j,k) = j*d + k against column (k,j) = k*d + j."""
+    jk = np.arange(d * d)
+    return jk, jk.reshape(d, d).T.ravel()
+
+
+def _phi_grid(d: int) -> tuple[slice, slice]:
+    """Index of the ones of d |Phi+><Phi+| = sum_jk |jj><kk|, the [::d+1, ::d+1] grid."""
+    return (slice(None, None, d + 1),) * 2
+
+
+def _deviation(x, c, at=None) -> float:
+    """||X - c P||_F, P the 0/1 matrix with ones at index ``at`` of X (the diagonal if None),
+    or ||x - c|| for a number x or an array c; c is subtracted in place on one copy of X."""
+    diff = np.array(x, dtype=complex, order="C")
+    if diff.ndim == 0 or np.ndim(c) != 0:
+        diff -= c
+    elif at is None:
+        diff.reshape(-1)[:: len(diff) + 1] -= c
+    else:
+        diff[at] -= c
+    return frob_norm(diff)
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B under the row-major composite index.
 
@@ -101,14 +125,11 @@ def _as_two_party(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(d, d, d, d)
 
 
-_PARTY_AXES = {1: (0, 2), 2: (1, 3)}  # the axes of B[j,k,l,m] that each party spans
-
-
 def _party_axes(party: int) -> tuple[int, int]:
-    """The axes of the 4-index tensor B[j,k,l,m] that party 1 or 2 spans."""
+    """The axes of the 4-index tensor B[j,k,l,m] that party 1 or 2 spans, (0, 2) or (1, 3)."""
     if party not in (1, 2):
         raise ValueError(f"party must be 1 or 2, got {party!r}")
-    return _PARTY_AXES[party]
+    return (0, 2) if party == 1 else (1, 3)
 
 
 def partial_trace(m: np.ndarray, party: int, d: int) -> np.ndarray:
@@ -226,8 +247,6 @@ def apply_superop(s: np.ndarray, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
         if not (0 <= p < n and 0 <= q < n) or p == q:
             raise ValueError(f"axes must be two distinct axes of a {n}-index array, got {axes!r}")
         perm = [i for i in range(n) if i != p and i != q] + [p, q]
-        inverse = [0] * n
-        for i, ax in enumerate(perm):
-            inverse[ax] = i
+        inverse = sorted(range(n), key=perm.__getitem__)
         return apply_superop(s, a.transpose(perm)).transpose(inverse)
     return (a.reshape(-1, s.shape[1]) @ s.T).reshape(a.shape)

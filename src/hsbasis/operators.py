@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bases import MatrixBasis, check_dim, split_diag_offdiag
-from .linalg import combine, dagger, kron_sum
+from .linalg import _phi_grid, _swap_support, combine, dagger, kron_sum
 from .transforms import to_standard
 
 __all__ = [
@@ -37,10 +37,9 @@ def swap_operator(d: int) -> np.ndarray:
 
     Entry ((j,k),(l,m)) = delta_jm delta_kl; Hermitian and involutive.
     """
-    check_dim(d)
+    d = check_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    j, k = np.divmod(np.arange(d * d), d)
-    m[j * d + k, k * d + j] = 1.0
+    m[_swap_support(d)] = 1.0
     return m
 
 
@@ -64,10 +63,8 @@ def swap_diag_expansion(basis: MatrixBasis) -> np.ndarray:
 
 def bell_state(d: int) -> np.ndarray:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> as a length-d^2 vector."""
-    check_dim(d)
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0
-    return v / np.sqrt(d)
+    d = check_dim(d)
+    return np.eye(d, dtype=complex).ravel() / np.sqrt(d)  # vec(1) / sqrt(d)
 
 
 def bell_projector(d: int) -> np.ndarray:
@@ -76,9 +73,9 @@ def bell_projector(d: int) -> np.ndarray:
     Entries are written as 1/d directly rather than (1/sqrt(d))^2, so the
     exact relation SWAP^T2 = d |Phi+><Phi+| holds entrywise in floats.
     """
-    check_dim(d)
+    d = check_dim(d)
     m = np.zeros((d * d, d * d), dtype=complex)
-    m[:: d + 1, :: d + 1] = 1.0 / d
+    m[_phi_grid(d)] = 1.0 / d
     return m
 
 
@@ -89,7 +86,7 @@ def bell_expansion(basis: MatrixBasis) -> np.ndarray:
 
 def coherent_state(d: int) -> np.ndarray:
     """The fully coherent state (1/sqrt(d)) sum_j |j> as a length-d vector."""
-    check_dim(d)
+    d = check_dim(d)
     return np.full(d, 1.0 / np.sqrt(d), dtype=complex)
 
 

@@ -106,14 +106,12 @@ def block_structure(u: BasisChange, split: BasisSplit) -> BlockStructure | None:
     diagonal block and (l, m), l != m, for the off-diagonal one. Returns None
     when any cross-block entry exceeds tolerance.
     """
-    d = u.d
-    diag_cols = [l * d + l for l in range(d)]
-    off_cols = [l * d + m for l in range(d) for m in range(d) if l != m]
-    diag_rows = list(split.diagonal)
-    off_rows = list(split.offdiagonal)
+    d, c = u.d, u.coeffs
+    on = np.eye(d, dtype=bool).ravel()  # the flat indices (l, l)
+    diag_cols, off_cols = np.flatnonzero(on), np.flatnonzero(~on)
+    diag_rows, off_rows = split.diagonal, split.offdiagonal
     if len(diag_rows) != d or len(off_rows) != d * (d - 1):
         return None
-    c = u.coeffs
     cross = (c[np.ix_(diag_rows, off_cols)], c[np.ix_(off_rows, diag_cols)])
     if not np.abs(np.concatenate(cross, axis=None)).max(initial=0.0) <= tolerance(d):
         return None

@@ -271,6 +271,31 @@ class TestSplitDiagOffdiag:
     def test_random_rotation_has_no_split(self):
         assert split_diag_offdiag(random_basis(3, 7)) is None
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_indices_are_python_ints(self, d):
+        split = split_diag_offdiag(weyl_basis(d))
+        assert all(type(i) is int for i in split.diagonal + split.offdiagonal)
+        assert sorted(split.diagonal + split.offdiagonal) == list(range(d * d))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mixed_element_has_no_split(self, d):
+        # one off-diagonal element gains a diagonal entry above tolerance
+        el = np.array(weyl_basis(d).elements)
+        el[1, 0, 0] = 10 * tolerance(d)
+        assert split_diag_offdiag(MatrixBasis(d, el)) is None
+
+    def test_wrong_diagonal_count_has_no_split(self):
+        el = np.array(standard_basis(3).elements)
+        el[0] = el[1]  # a second copy of an off-diagonal unit, one diagonal unit short
+        assert split_diag_offdiag(MatrixBasis(3, el)) is None
+
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1)])
+    def test_nan_entry_has_no_split(self, entry):
+        # a NaN on or off the diagonal of a diagonal (element 0) or off-diagonal (element 1) one
+        el = np.array(weyl_basis(2).elements)
+        el[entry] = np.nan
+        assert split_diag_offdiag(MatrixBasis(2, el)) is None
+
 
 class TestInvariants:
     @pytest.mark.parametrize("d", DIMS)
@@ -308,6 +333,19 @@ class TestMatrixBasisStructure:
     def test_numpy_integer_dimension_accepted(self, d):
         assert validate_basis(MatrixBasis(d, weyl_basis(int(d)).elements)).all_passed
         assert standard_basis(d).d == d
+
+    @pytest.mark.parametrize("d", [np.uint8(16), np.int8(12)], ids=repr)
+    @pytest.mark.parametrize(
+        "builder",
+        [standard_basis, gellmann_basis, weyl_basis, lambda d: random_basis(d, 5)],
+        ids=["standard", "gellmann", "weyl", "random"],
+    )
+    def test_narrow_numpy_integer_dimension_builds_the_int_basis(self, builder, d):
+        # d * d overflows in these types, so each builder must leave them before it multiplies
+        got, want = builder(d), builder(int(d))
+        assert type(got.d) is int and got.d == d
+        assert got.elements.tobytes() == want.elements.tobytes()
+        assert MatrixBasis(d, want.elements).d == d
 
     def test_wrong_element_count(self):
         with pytest.raises(ValueError, match="elements"):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,19 +15,21 @@ from hsbasis.bases import (
     random_unitary,
     rotated_basis,
     standard_basis,
+    validate_basis,
     weyl_basis,
 )
 from hsbasis import bases, identities, linalg, maps, operators, transforms
 from hsbasis.identities import (
+    DEFAULT_SEED,
     IdentityId,
     _Operands,
-    _distance,
     check_identity,
     run_catalogue,
 )
 from hsbasis.linalg import (
     apply_superop,
     dagger,
+    frob_norm,
     hs_inner,
     kron_sum,
     partial_transpose,
@@ -322,14 +325,14 @@ class TestFourFactorKernels:
 def _left_side(identity, basis):
     """The matrix or number an entry compares with its right side, as the catalogue computes it."""
     sides = []
-    real = identities._distance
+    real = identities._deviation
 
-    def capture(lhs, rhs):
+    def capture(lhs, *target):
         sides.append(np.copy(lhs))
-        return real(lhs, rhs)
+        return real(lhs, *target)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "_distance", capture)
+        patch.setattr(identities, "_deviation", capture)
         check_identity(identity, basis)
     (lhs,) = sides
     return lhs
@@ -383,21 +386,43 @@ class TestCompletenessReads:
             assert _close(_left_side(identity, basis), want), identity
 
 
-class TestDistance:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_scalar_is_subtracted_from_any_memory_layout(self, d):
-        # F-ordered arrays and transposed views, as np.trace over axes or .T return them
-        a = oracles.random_matrix(d, np.random.default_rng(d))
-        want = np.linalg.norm(a - 2 * np.eye(d))
-        assert _distance(np.asfortranarray(2 * np.eye(d)), 2) == 0.0
-        assert _distance(np.asfortranarray(a), 2) == pytest.approx(want, rel=1e-15)
-        assert _distance(a.T, 2) == pytest.approx(np.linalg.norm(a.T - 2 * np.eye(d)), rel=1e-15)
+def _dense_targets(d, a, b):
+    """The right side of every entry that reads one matrix or number, written out densely."""
+    eye = np.eye(d)
+    return {
+        IdentityId.SWAP_EXPANSION: swap_operator(d),
+        IdentityId.GG_DAGGER_SUM: d**2 * eye,
+        IdentityId.TRACE_WEIGHTED_SUM: d * eye,
+        IdentityId.TRACE_NORM_SUM: d**2,
+        IdentityId.BELL_EXPANSION: bell_projector(d),
+        IdentityId.GG_CONJ_SUM: d * eye,
+        IdentityId.TRACE_WEIGHTED_CONJ: d * eye,
+        IdentityId.IDENTITY_4OP_TENSOR: np.eye(d * d),
+        IdentityId.FOUROPS_1: d**2 * eye,
+        IdentityId.FOUROPS_2: d**3 * eye,
+        IdentityId.FOUROPS_3: d**2 * eye,
+        IdentityId.BELLBELL_TENSOR: bell_projector(d),
+        IdentityId.SWAPBELL_TENSOR: bell_projector(d),
+        IdentityId.TR1_BELLBELL: d**3 * eye,
+        IdentityId.TR12_BELLBELL: d**4,
+        IdentityId.TRSWAP_CHOI: a @ b,
+    }
 
-    def test_inputs_are_not_modified(self):
-        a = np.asfortranarray(np.eye(2, dtype=complex))
-        _distance(a, 1)
-        _distance(a.T, 1)
-        assert np.array_equal(a, np.eye(2))
+
+class TestResidualsAgainstDenseTargets:
+    """Subtracting the target on its pattern alone gives bit for bit the dense difference."""
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("kind", ["standard", "gellmann", "weyl", "random"])
+    def test_every_residual_equals_the_dense_difference(self, kind, d):
+        basis = SHARED_BASES[kind](d)
+        a, b = _Operands(basis, DEFAULT_SEED).random_pair
+        for identity, target in _dense_targets(d, a, b).items():
+            lhs = _left_side(identity, basis)
+            assert check_identity(identity, basis).residual == frob_norm(lhs - target), identity
+        ones = np.eye(d).ravel()  # vec(1), so d |Phi+><Phi+| = vec(1) vec(1)^T
+        want = frob_norm(basis.bell_sum - d * np.outer(ones, ones))
+        assert validate_basis(basis).checks[0].residual == want
 
 
 def _pair_stack_residuals(g, d):
@@ -483,8 +508,8 @@ class TestSharedOperands:
     def calls(self, monkeypatch):
         counts = dict.fromkeys(("kron_sum", "swap_operator", "bell_projector"), 0)
         for name in counts:
-            # the basis builds its one sum, the run everything else
-            module = bases if name == "kron_sum" else identities
+            # the basis builds its one sum, the run SWAP; no module may build the Bell projector
+            module = {"kron_sum": bases, "swap_operator": identities}.get(name, operators)
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
@@ -497,7 +522,8 @@ class TestSharedOperands:
     def test_full_run_builds_each_operand_once(self, calls):
         report = run_catalogue(weyl_basis(3))
         assert report.all_passed
-        assert calls == {"kron_sum": 1, "swap_operator": 1, "bell_projector": 1}
+        assert calls == {"kron_sum": 1, "swap_operator": 1, "bell_projector": 0}
+        assert not hasattr(identities, "bell_projector")
 
     def test_any_subset_builds_each_operand_at_most_once(self, calls):
         subsets = [[i] for i in ALL_IDS] + [list(p) for p in itertools.combinations(ALL_IDS, 2)]
@@ -507,8 +533,9 @@ class TestSharedOperands:
                 calls[name] = 0
             run_catalogue(gellmann_basis(2), ids=subset)
             assert calls["kron_sum"] <= 1, subset
-            assert calls["swap_operator"] <= 1, subset
-            assert calls["bell_projector"] <= 1, subset
+            # SWAP is the seeded checks' operand alone; the expansions read its support
+            assert calls["swap_operator"] == int(any(i in SEEDED_IDS for i in subset)), subset
+            assert calls["bell_projector"] == 0, subset
 
     @pytest.mark.parametrize("identity", ALL_IDS, ids=lambda i: i.value)
     def test_single_check_builds_only_its_operands(self, calls, identity):
@@ -585,6 +612,19 @@ class TestSharedOperands:
             alone = check_identity(identity, basis, seed=2)
             assert shared.passed == alone.passed, identity
             assert abs(shared.residual - alone.residual) <= 1e-4 * alone.tolerance, identity
+
+    def test_cold_run_peak_memory(self):
+        # K, swap_sum, T and two temporaries of a two-party entry: 5 arrays of 16 d^4 bytes;
+        # a dense SWAP or Bell projector built only to be subtracted would add one array each
+        d = 16
+        cold = MatrixBasis(d, _haar_rotated_weyl(d).elements)
+        tracemalloc.start()
+        try:
+            run_catalogue(cold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 16 * d**4
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_seeded_entries_bit_identical_in_any_run(self, d):

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hsbasis.linalg import (
+    _deviation,
+    _phi_grid,
+    _swap_support,
     apply_superop,
     basis_sum,
     combine,
@@ -19,6 +22,7 @@ from hsbasis.linalg import (
     tensor,
     vectorize,
 )
+from hsbasis.operators import bell_projector, swap_operator
 
 import oracles
 
@@ -403,3 +407,53 @@ class TestHsGramKernel:
         g = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
         a = oracles.random_matrix(2, rng)
         assert np.allclose(combine(hs_gram(g, a), g) / 2, a, atol=1e-14)
+
+
+class TestDeviation:
+    """||X - c P||_F with P the 0/1 matrix of a pattern, subtracted in place on a copy of X."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_scalar_is_subtracted_from_any_memory_layout(self, d):
+        # F-ordered arrays and transposed views, as np.trace over axes or .T return them
+        a = oracles.random_matrix(d, np.random.default_rng(d))
+        want = np.linalg.norm(a - 2 * np.eye(d))
+        assert _deviation(np.asfortranarray(2 * np.eye(d)), 2) == 0.0
+        assert _deviation(np.asfortranarray(a), 2) == pytest.approx(want, rel=1e-15)
+        assert _deviation(a.T, 2) == pytest.approx(np.linalg.norm(a.T - 2 * np.eye(d)), rel=1e-15)
+
+    def test_inputs_are_not_modified(self):
+        a = np.asfortranarray(np.eye(2, dtype=complex))
+        _deviation(a, 1)
+        _deviation(a.T, 1)
+        assert np.array_equal(a, np.eye(2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_read_only_input(self, d):
+        a = oracles.random_matrix(d * d, np.random.default_rng(20 + d))
+        a.setflags(write=False)
+        for at in (None, _swap_support(d), _phi_grid(d)):
+            before = a.copy()
+            assert _deviation(a, 0.5, at) > 0
+            assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_each_pattern_against_its_dense_matrix(self, d):
+        rng = np.random.default_rng(30 + d)
+        x = oracles.random_matrix(d * d, rng)
+        patterns = [
+            (None, np.eye(d * d)),
+            (_swap_support(d), swap_operator(d)),
+            (_phi_grid(d), (bell_projector(d) != 0).astype(float)),
+        ]
+        for at, dense in patterns:
+            for c in (1, 1.0 / d, 2.5 - 1j):
+                want = np.linalg.norm(x - c * dense)
+                assert _deviation(x, c, at) == pytest.approx(want, rel=1e-15), (at, c)
+                assert _deviation(c * dense, c, at) == 0.0
+
+    def test_a_number_or_an_array_on_the_right_is_subtracted_whole(self):
+        rng = np.random.default_rng(40)
+        x, c = oracles.random_matrix(3, rng), oracles.random_matrix(3, rng)
+        assert _deviation(x, c) == pytest.approx(np.linalg.norm(x - c), rel=1e-15)
+        assert _deviation(np.complex128(3 + 4j), 0) == 5.0
+        assert _deviation(16.0, 16) == 0.0

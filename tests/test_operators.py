@@ -34,6 +34,13 @@ def test_fixed_operators_bit_identical_to_loops(d):
     assert bell_projector(d).tobytes() == oracles.bell_projector_loops(d).tobytes()
 
 
+@pytest.mark.parametrize("d", [np.uint8(16), np.int8(12)], ids=repr)
+@pytest.mark.parametrize("builder", [swap_operator, bell_state, bell_projector, coherent_state])
+def test_narrow_numpy_integer_dimension_builds_the_int_operator(builder, d):
+    # d * d overflows in these types, so each builder must leave them before it multiplies
+    assert builder(d).tobytes() == builder(int(d)).tobytes()
+
+
 class TestSwapOperator:
     def test_d2_permutation(self):
         expected = np.zeros((4, 4))
