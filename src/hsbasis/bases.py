@@ -13,7 +13,7 @@ Haar-random rotations of any of them for testing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -39,11 +39,13 @@ class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
     The element stack is made read-only on construction, so instances can
-    be shared freely. Validation, the maps, the expansions and the
-    catalogue read one basis sum, sum g (x) g^*, built on first use in
-    O(d^6), and its partial transpose sum g (x) g^dag, an O(d^4) index
-    move; both are kept read-only, 16 d^4 bytes each, for as long as the
-    basis lives, so a validated or rotated basis keeps the first.
+    be shared freely; the named constructors share one instance per
+    (kind, d). Validation, the maps, the expansions and the catalogue
+    read one basis sum, sum g (x) g^*, built on first use in O(d^6), and
+    its partial transpose sum g (x) g^dag, an O(d^4) index move; both are
+    kept read-only, 16 d^4 bytes each, for as long as the basis lives, so
+    a validated or rotated basis keeps the first and the completeness
+    residual read off it.
     """
 
     d: int
@@ -70,6 +72,11 @@ class MatrixBasis:
     def swap_sum(self) -> np.ndarray:
         """sum g (x) g^dag = d SWAP, bell_sum transposed on party 2; also sandwich_sum(g, g^*)."""
         return _read_only(partial_transpose(self.bell_sum, 2, self.d))
+
+    @cached_property
+    def completeness_residual(self) -> float:
+        """||bell_sum - d^2 |Phi+><Phi+|||_F, the residual validate_basis checks."""
+        return _deviation(self.bell_sum, self.d, _phi_grid(self.d))
 
     def element(self, j: int, k: int) -> np.ndarray:
         return self.elements[j * self.d + k]
@@ -101,17 +108,48 @@ def check_dim(d: int) -> int:
     return int(d)
 
 
+_NAMED_CACHE_SIZE = 12
+"""Named bases kept at once (three kinds at four dimensions), least recently used dropped first."""
+
+
+@lru_cache(maxsize=_NAMED_CACHE_SIZE)
+def _named_basis(build, d: int) -> MatrixBasis:
+    return build(d)
+
+
+def _shared(build):
+    """Serve the named constructor ``build`` from one instance per (kind, d).
+
+    The dimension is checked before the lookup, so ``4.0`` or ``True``
+    still raises instead of hashing equal to a cached 4 or 1, and the
+    key always holds a Python int. The shared basis keeps its sums and
+    residual once built, so at most _NAMED_CACHE_SIZE bases of up to
+    three 16 d^4-byte arrays each stay alive.
+    """
+
+    @wraps(build)
+    def constructor(d: int) -> MatrixBasis:
+        return _named_basis(build, check_dim(d))
+
+    return constructor
+
+
+@_shared
 def standard_basis(d: int) -> MatrixBasis:
     """Matrix units scaled to the dimension-d normalization: e_jk = sqrt(d) |j><k|."""
-    d = check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     n = np.arange(d * d)
     el[n, n // d, n % d] = np.sqrt(d)
     return MatrixBasis(d, el, "standard")
 
 
+@lru_cache(maxsize=_NAMED_CACHE_SIZE, typed=True)
 def gellmann_y_elements(d: int) -> np.ndarray:
-    """The antisymmetric Gell-Mann elements sqrt(d/2)(-i|k><l| + i|l><k|), k < l, k major."""
+    """The antisymmetric Gell-Mann elements sqrt(d/2)(-i|k><l| + i|l><k|), k < l, k major.
+
+    Built once per d and returned read-only; the cache is typed, so a
+    float d is not served the stack of the equal int.
+    """
     r = np.arange(d)
     k, l = np.nonzero(r[:, None] < r)
     n = np.arange(len(k))
@@ -119,9 +157,10 @@ def gellmann_y_elements(d: int) -> np.ndarray:
     y = np.zeros((len(k), d, d), dtype=complex)
     y[n, k, l] = -1j * half
     y[n, l, k] = 1j * half
-    return y
+    return _read_only(y)
 
 
+@_shared
 def gellmann_basis(d: int) -> MatrixBasis:
     """Generalized Gell-Mann basis: Hermitian SU(d) generators plus the identity.
 
@@ -132,7 +171,6 @@ def gellmann_basis(d: int) -> MatrixBasis:
     For d=2 this reproduces the Pauli matrices in the order
     (identity, sigma_x, sigma_y, sigma_z).
     """
-    d = check_dim(d)
     el = np.zeros((d * d, d, d), dtype=complex)
     el[0] = np.eye(d)
     r = np.arange(d)
@@ -145,6 +183,7 @@ def gellmann_basis(d: int) -> MatrixBasis:
     return MatrixBasis(d, el, "gellmann")
 
 
+@_shared
 def weyl_basis(d: int) -> MatrixBasis:
     """Weyl operator basis D_jk = Z^j X^k omega^(-jk/2).
 
@@ -155,7 +194,6 @@ def weyl_basis(d: int) -> MatrixBasis:
     phase: (0,0) -> identity, (0,1) -> sigma_x, (1,0) -> sigma_z,
     (1,1) -> -i ZX = sigma_y.
     """
-    d = check_dim(d)
     j, k, col = np.ogrid[:d, :d, :d]
     row = (col + k) % d
     el = np.zeros((d, d, d, d), dtype=complex)
@@ -169,7 +207,9 @@ NAMED_BASES = {
     "gellmann": gellmann_basis,
     "weyl": weyl_basis,
 }
-"""The built-in constructions by the name used in basis files and on the command line."""
+"""The built-in constructions by the name used in basis files and on the command line.
+
+Each returns the one shared, read-only basis of its kind at d."""
 
 
 def validate_basis(basis: MatrixBasis) -> IdentityReport:
@@ -183,7 +223,8 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
     from d*delta_pq and bounds its largest entry from above. It reads the
     one sum the maps, expansions and catalogue share, with no product of
     its own, and subtracts d on the Phi+ grid through the catalogue's
-    residual kernel; the verdict is pass iff it stays within tolerance(d).
+    residual kernel once per basis (``MatrixBasis.completeness_residual``);
+    the verdict is pass iff it stays within tolerance(d).
     """
     d = basis.d
     check = IdentityCheck(
@@ -192,7 +233,7 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
             f"sum g_jk (x) g_jk^* == {d}^2 |Phi+><Phi+|, "
             f"i.e. Tr(g_jk^dag g_lm) == {d}*delta_jl*delta_km"
         ),
-        residual=_deviation(basis.bell_sum, d, _phi_grid(d)),
+        residual=basis.completeness_residual,
         tolerance=tolerance(d),
     )
     return IdentityReport((check,))
@@ -211,7 +252,7 @@ def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:
     ``u`` may be a plain d^2 x d^2 array or any object with a ``coeffs``
     attribute (such as a BasisChange). The result must pass validate_basis,
     whose residual is d ||U^dag U - 1||_F for an orthogonal input basis;
-    it is returned holding the ``bell_sum`` that check built.
+    it is returned holding the ``bell_sum`` and residual that check built.
     """
     coeffs = np.asarray(getattr(u, "coeffs", u), dtype=complex)
     n = basis.d * basis.d

@@ -159,9 +159,9 @@ def _pair_texts(flat: np.ndarray, pad: str) -> list[str]:
 
 
 def _matrix_text(rows: int, cols: int, pairs: list[str], pad: str) -> str:
-    """A matrix document as json writes it with its fields at indent `pad`."""
+    """A matrix document as json writes it with its fields at indent `pad`; `pairs` is nonempty."""
     sep = ",\n"
-    entries = f"[\n{sep.join(pairs)}\n{pad}]" if pairs else "[]"
+    entries = f"[\n{sep.join(pairs)}\n{pad}]"
     return f'{{\n{pad}"rows": {rows},\n{pad}"cols": {cols},\n{pad}"entries": {entries}\n{pad[2:]}}}'
 
 

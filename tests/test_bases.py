@@ -15,6 +15,7 @@ from hsbasis.bases import (
     validate_basis,
     weyl_basis,
 )
+from hsbasis.identities import run_catalogue
 from hsbasis.linalg import combine, frob_norm, hs_inner, tolerance
 
 import oracles
@@ -321,11 +322,12 @@ class TestMatrixBasisStructure:
         with pytest.raises(ValueError, match="at least 2"):
             MatrixBasis(1, np.zeros((1, 1, 1)))
 
-    @pytest.mark.parametrize("d", [2.0, np.float64(2.0), "2", None])
+    @pytest.mark.parametrize("d", [2.0, np.float64(2.0), "2", None, True])
     def test_non_integer_dimension_rejected(self, d):
         with pytest.raises(ValueError, match="integer of at least 2"):
             MatrixBasis(d, gellmann_basis(2).elements)
         for builder in (standard_basis, gellmann_basis, weyl_basis):
+            builder(2)  # a shared basis at d = 2 does not serve the equal 2.0
             with pytest.raises(ValueError, match="integer of at least 2"):
                 builder(d)
 
@@ -363,6 +365,11 @@ class TestMatrixBasisStructure:
 
 class TestLoopFreeConstructions:
     """The index-array builders reproduce the element-by-element loops bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def drop_shared_bases(self):
+        yield
+        bases._named_basis.cache_clear()  # keep no shared stack of up to 16 MB between cases
 
     @pytest.mark.parametrize("d", range(2, 33))
     def test_standard_and_weyl_bit_identical_to_loops(self, d):
@@ -404,3 +411,64 @@ class TestBasisSums:
                 getattr(b, name)[0, 0] = 5.0
             with pytest.raises(AttributeError):
                 setattr(b, name, np.zeros((9, 9)))
+
+
+class TestSharedNamedBases:
+    """A named basis is built once per (kind, d) and shared; every check reads the same numbers."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        bases._named_basis.cache_clear()
+
+    @pytest.mark.parametrize("first", [4, np.uint8(4)], ids=repr)
+    def test_numpy_integer_dimension_shares_the_int_basis(self, first):
+        b = gellmann_basis(first)
+        assert b is gellmann_basis(4) is gellmann_basis(np.uint8(4)) is gellmann_basis(np.int64(4))
+        assert type(b.d) is int
+
+    def test_cache_holds_at_most_its_bound(self):
+        keys = [(builder, d) for builder in BUILTINS for d in range(2, 7)]  # 15 distinct keys
+        built = [builder(d) for builder, d in keys]
+        info = bases._named_basis.cache_info()
+        assert info.maxsize == 12 and info.currsize == 12
+        # the twelve most recent are served as they are, the oldest are built again
+        assert all(builder(d) is b for (builder, d), b in zip(keys[3:], built[3:]))
+        assert standard_basis(2) is not built[0]
+        assert bases._named_basis.cache_info().currsize == 12
+
+    def test_gellmann_y_stack_is_shared_and_read_only(self):
+        y = bases.gellmann_y_elements(3)
+        assert not y.flags.writeable and bases.gellmann_y_elements(3) is y
+        with pytest.raises(ValueError):
+            y[0, 0, 1] = 0.0
+        # the cache is typed: a float dimension fails as it did before any stack was cached
+        with pytest.raises(TypeError):
+            bases.gellmann_y_elements(3.0)
+
+    def test_shared_basis_keeps_its_sums_and_residual(self, monkeypatch):
+        calls = []
+        original = bases._deviation
+        monkeypatch.setattr(bases, "_deviation", lambda *a: calls.append(a) or original(*a))
+        b = weyl_basis(5)
+        first = validate_basis(b)
+        assert weyl_basis(5) is b and validate_basis(weyl_basis(5)) == first
+        bases.require_orthogonal(b, "unused")
+        assert len(calls) == 1
+        assert b.completeness_residual == first.checks[0].residual
+
+    @pytest.mark.parametrize("cold_first", [True, False], ids=["cold_first", "shared_first"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("builder", BUILTINS)
+    def test_residuals_equal_a_cold_basis_in_either_order(self, builder, d, cold_first):
+        shared = builder(d)
+        cold = MatrixBasis(d, shared.elements, shared.kind)
+
+        def checks(b):
+            return validate_basis(b).checks + run_catalogue(b).checks
+
+        if cold_first:
+            cold_checks, shared_checks = checks(cold), checks(shared)
+        else:
+            shared_checks, cold_checks = checks(shared), checks(cold)
+        assert shared_checks == cold_checks
+        assert checks(builder(d)) == shared_checks  # again, warm

@@ -527,6 +527,7 @@ class TestChoiFromMaps:
             return original(*args)
 
         monkeypatch.setattr(bases, "kron_sum", counted)
+        bases._named_basis.cache_clear()  # the run builds a fresh weyl basis
         out = tmp_path / "c.json"
         assert run("choi", "--map", name, "--dim", "3", "--basis", "weyl", "--out", str(out)) == 0
         assert len(calls) == (0 if name == "identity" else 1)

@@ -506,6 +506,7 @@ class TestSharedOperands:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        bases._named_basis.cache_clear()  # a fresh named basis builds its sum under count
         counts = dict.fromkeys(("kron_sum", "swap_operator", "bell_projector"), 0)
         for name in counts:
             # the basis builds its one sum, the run SWAP; no module may build the Bell projector

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsbasis import bases
 from hsbasis.bases import (
     BasisSplit,
     MatrixBasis,
@@ -35,6 +36,19 @@ BUILTINS = [standard_basis, gellmann_basis, weyl_basis]
 
 
 class TestChangeOfBasis:
+    def test_named_target_builds_no_sum_once_shared(self, monkeypatch):
+        # a rotated source builds its one sum; the shared named target has its own already
+        calls = []
+        original = bases.kron_sum
+        monkeypatch.setattr(bases, "kron_sum", lambda *a: calls.append(a) or original(*a))
+        change_of_basis(weyl_basis(4), gellmann_basis(4))
+        calls.clear()
+        for seed in range(3):
+            source = rotated_basis(gellmann_basis(4), random_unitary(16, seed))
+            assert len(calls) == seed + 1
+            change_of_basis(weyl_basis(4), source)
+            assert len(calls) == seed + 1
+
     @pytest.mark.parametrize("builder", BUILTINS)
     def test_self_transformation_is_identity(self, builder):
         b = builder(3)
