@@ -35,8 +35,10 @@ O(d^6) each; no d^4-long stack of pair products is built. The two seeded
 checks on random A, B cost O(d^4): they read (A (x) B) SWAP off
 reshuffle(SWAP) without forming A (x) B (:meth:`_Operands.swap_trace`).
 
-A run builds T and A, B (one draw, one generator) once each, on first
-use, K once per basis, and SWAP only for the seeded checks. Every residual
+A run builds T, its partial trace T[i,i,a,b] and reshuffle(SWAP) at most
+once each, on first use, the last only for the seeded checks; K is built
+once per basis, and A, B (one draw of one generator) once per (seed, d)
+per process, read-only and shared by every later run. Every residual
 subtracts its right side in place from one copy of the left, only where the
 right side's entries are (:func:`~hsbasis.linalg._deviation`), so no dense
 SWAP or Bell projector is built. The trade-off: checked alone on a fresh
@@ -50,11 +52,11 @@ import enum
 import itertools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bases import MatrixBasis
+from .bases import MatrixBasis, _read_only
 from .linalg import (
     _deviation,
     _phi_grid,
@@ -75,20 +77,38 @@ __all__ = ["IdentityId", "check_identity", "run_catalogue", "DEFAULT_SEED"]
 DEFAULT_SEED = 0
 
 
+_SEEDED_CACHE_SIZE = 16
+"""Seeded pairs kept at once, least recently used dropped first; 32 d^2 bytes each."""
+
+
+@lru_cache(maxsize=_SEEDED_CACHE_SIZE)
+def _seeded_pair(seed: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A, B: d x d complex Gaussian matrices from one generator on ``seed``, drawn once per
+    (seed, d) per process and returned read-only."""
+    rng = np.random.default_rng(seed)
+    shape = (d, d)
+    return tuple(
+        _read_only(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in "AB"
+    )
+
+
 class _Operands:
     """What the catalogue entries share, derived once per run.
 
-    The basis sums are the basis's own; the other operands are computed
-    on first use, so a run builds only those its entries need, and each
-    at most once.
+    The basis sums are the basis's own, and A, B are shared read-only by
+    every run at one (seed, d) in the process. The other operands are
+    computed on first use, so a run builds only those its entries need,
+    and each at most once: T, its partial trace T[i,i,a,b] and
+    reshuffle(SWAP), for which SWAP is built once per run and not kept.
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        # checked before it keys the cache, where 4.0 would hash equal to 4
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.basis = basis
         self.d = basis.d
-        self.seed = seed
+        self.seed = int(seed)
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -96,20 +116,24 @@ class _Operands:
         return reshuffle(self.basis.bell_sum, self.d).reshape((self.d,) * 4)
 
     @cached_property
-    def swap(self) -> np.ndarray:
-        return swap_operator(self.d)
+    def trace_weighted(self) -> np.ndarray:
+        """sum Tr(g) g^* = T[i,i,a,b], O(d^3); its transpose is sum Tr(g) g^dag."""
+        return np.trace(self.t, axis1=0, axis2=1)
 
     @cached_property
+    def swap_reshuffled(self) -> np.ndarray:
+        """reshuffle(SWAP), read by every swap_trace of the run; SWAP itself is not kept."""
+        return reshuffle(swap_operator(self.d), self.d)
+
+    @property
     def random_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """A, B: d x d complex Gaussian matrices from one generator on the run's seed."""
-        rng = np.random.default_rng(self.seed)
-        shape = (self.d, self.d)
-        return tuple(rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "AB")
+        """A, B: the read-only draw of one generator on the run's seed, shared per (seed, d)."""
+        return _seeded_pair(self.seed, self.d)
 
     def swap_trace(self, b: np.ndarray) -> np.ndarray:
         """W(B) = Tr_2[(1 (x) B) SWAP] = devec(reshuffle(SWAP) vec(B^T)), O(d^4); for any X
         in place of SWAP, Tr_2[(A (x) B) X] = A W(B) and Tr[(A (x) B) X] = Tr(A W(B))."""
-        return apply_superop(reshuffle(self.swap, self.d), b.T)
+        return apply_superop(self.swap_reshuffled, b.T)
 
 
 def _chain(t: np.ndarray, left, right) -> np.ndarray:
@@ -159,12 +183,12 @@ _CATALOGUE = (
     _Identity(
         "trace_weighted_sum",
         "sum Tr(g) g^dag == d 1",
-        lambda s: _deviation(np.trace(s.t, axis1=0, axis2=1).T, s.d),
+        lambda s: _deviation(s.trace_weighted.T, s.d),
     ),
     _Identity(
         "trace_norm_sum",
         "sum |Tr g|^2 == d^2",
-        lambda s: _deviation(np.trace(np.trace(s.t, axis1=0, axis2=1)), s.d**2),
+        lambda s: _deviation(np.trace(s.trace_weighted), s.d**2),
         scalar_tolerance,
     ),
     _Identity(
@@ -180,7 +204,7 @@ _CATALOGUE = (
     _Identity(
         "trace_weighted_conj",
         "sum Tr(g) g^* == d 1",
-        lambda s: _deviation(np.trace(s.t, axis1=0, axis2=1), s.d),
+        lambda s: _deviation(s.trace_weighted, s.d),
     ),
     # four-factor sums over pairs (a,b), (j,k)
     _Identity(
@@ -272,6 +296,7 @@ def run_catalogue(
     """Run the whole catalogue (or a non-empty subset, in the order given).
 
     The entries share one set of operands, so each basis sum is built once.
+    The seed must be an int or np.integer >= 0; anything else raises ValueError.
     """
     selected = _CATALOGUE if ids is None else [_entry(i) for i in ids]
     if not selected:

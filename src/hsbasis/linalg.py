@@ -86,15 +86,21 @@ def _phi_grid(d: int) -> tuple[slice, slice]:
 
 def _deviation(x, c, at=None) -> float:
     """||X - c P||_F, P the 0/1 matrix with ones at index ``at`` of X (the diagonal if None),
-    or ||x - c|| for a number x or an array c; c is subtracted in place on one copy of X."""
+    or ||x - c|| for a number x or an array c; c is subtracted in place on one copy of X.
+    Summed as :func:`frob_norm` sums, without its dispatch, so every bit is the same."""
+    if not isinstance(x, np.ndarray) or not x.ndim:
+        z = complex(x) - c
+        return math.sqrt(z.real * z.real + z.imag * z.imag)
     diff = np.array(x, dtype=complex, order="C")
-    if diff.ndim == 0 or np.ndim(c) != 0:
+    if isinstance(c, np.ndarray) and c.ndim:
         diff -= c
     elif at is None:
         diff.reshape(-1)[:: len(diff) + 1] -= c
     else:
         diff[at] -= c
-    return frob_norm(diff)
+    r = diff.reshape(-1)
+    re, im = r.real, r.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -587,6 +588,8 @@ class TestSharedOperands:
         gc, gd = g.conj(), dagger(g)
         assert s.t.shape == (d, d, d, d)
         assert _close(s.t, _completeness_loops(g))
+        assert _close(s.trace_weighted, sum(np.trace(x) * x.conj() for x in g))
+        assert np.array_equal(s.swap_reshuffled, linalg.reshuffle(swap_operator(d), d))
         k_swap, k_bell = s.basis.swap_sum, s.basis.bell_sum
         derived = [(k_swap, g, gd), (dagger(k_swap), gd, g), (k_bell.conj(), gc, g)]
         for got, x, y in derived:
@@ -691,6 +694,20 @@ class TestSeededEntries:
         report = run_catalogue(weyl_basis(d), ids=SEEDED_IDS, seed=5)
         assert [c.passed for c in report.checks] == [False, False]
 
+    @pytest.fixture
+    def generators(self, monkeypatch):
+        """The arguments of every default_rng made from here on, with no draw cached."""
+        made = []
+        original = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        identities._seeded_pair.cache_clear()
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        return made
+
     @pytest.mark.parametrize(
         "ids, draws",
         [
@@ -704,18 +721,90 @@ class TestSeededEntries:
             ([IdentityId.SWAP_EXPANSION], 0),
         ],
     )
-    def test_one_generator_per_run(self, monkeypatch, ids, draws):
+    def test_one_generator_per_run(self, generators, ids, draws):
         basis = gellmann_basis(3)
-        made = []
-        original = np.random.default_rng
-
-        def counted(*args, **kwargs):
-            made.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counted)
         run_catalogue(basis, ids=ids, seed=4)
-        assert made == [(4,)] * draws
+        assert generators == [(4,)] * draws
+        run_catalogue(basis, ids=ids, seed=4)
+        assert generators == [(4,)] * draws
+
+    def test_one_generator_per_seed_and_dimension(self, generators):
+        runs = [
+            (gellmann_basis(3), 4, [(4,)]),
+            (gellmann_basis(3), 4, []),  # the same (seed, d)
+            (weyl_basis(3), 4, []),  # another basis of the same d
+            (random_basis(3, 8), np.int64(4), []),  # the same seed as a numpy integer
+            (gellmann_basis(3), 5, [(5,)]),  # a new seed
+            (gellmann_basis(4), 4, [(4,)]),  # a new d
+        ]
+        for basis, seed, new in runs:
+            before = len(generators)
+            run_catalogue(basis, seed=seed)
+            assert generators[before:] == new, (basis.d, seed)
+        assert all(type(args[0]) is int for args in generators)
+
+    def test_shared_pair_is_read_only(self):
+        for a in _Operands(weyl_basis(3), 4).random_pair:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+
+    def test_shared_pair_is_one_object_across_runs_and_bases(self, monkeypatch):
+        # purity_link passes its B to hs_inner, so the recorded arrays are the runs' own
+        seen = []
+        original = identities.hs_inner
+
+        def recording(a, b):
+            seen.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(identities, "hs_inner", recording)
+        bases_of_d3 = [gellmann_basis(3), weyl_basis(3), gellmann_basis(3), random_basis(3, 9)]
+        for basis in bases_of_d3:
+            run_catalogue(basis, seed=4)
+        assert len(seen) == len(bases_of_d3)
+        assert all(b is seen[0] for b in seen)
+        assert _Operands(standard_basis(3), 4).random_pair[0] is seen[0]
+        assert _Operands(standard_basis(4), 4).random_pair[0] is not seen[0]
+        assert _Operands(standard_basis(3), 5).random_pair[0] is not seen[0]
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_seeded_residuals_bit_identical_cold_and_warm(self, d):
+        # alone or inside a full run, on a fresh draw or on the shared one
+        basis = random_basis(d, 870 + d)
+
+        def alone():
+            return [check_identity(i, basis, seed=12).residual for i in SEEDED_IDS]
+
+        def full():
+            report = {c.id: c.residual for c in run_catalogue(basis, seed=12)}
+            return [report[i.value] for i in SEEDED_IDS]
+
+        got = []
+        for first, second in [(alone, full), (full, alone)]:
+            identities._seeded_pair.cache_clear()
+            got += [first(), second()]
+        assert got == [got[0]] * 4
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("ids", [None, SEEDED_IDS, [IdentityId.PURITY_LINK]])
+    def test_one_swap_reshuffle_per_run(self, monkeypatch, d, ids):
+        # W(B) is read twice per full run, off one reshuffle of that run's own SWAP
+        swap = swap_operator(d)
+        shuffled = []
+        original = identities.reshuffle
+
+        def counted(m, dim):
+            if np.shape(m) == swap.shape and np.array_equal(m, swap):
+                shuffled.append(dim)
+            return original(m, dim)
+
+        monkeypatch.setattr(identities, "reshuffle", counted)
+        for runs in (1, 2):
+            assert run_catalogue(random_basis(d, 880 + d), ids=ids).all_passed
+            assert shuffled == [d] * runs
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_no_kronecker_product_and_no_d2_by_d2_product(self, monkeypatch, d):
@@ -757,3 +846,24 @@ class TestSeedValidation:
         for identity in ids or ALL_IDS:
             with pytest.raises(ValueError, match="seed"):
                 check_identity(identity, weyl_basis(2), seed=-1)
+
+    @pytest.mark.parametrize("seed", [4.0, np.float64(4), 1.5, "4", None, -1, np.int64(-1)])
+    def test_seed_that_is_no_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            run_catalogue(weyl_basis(3), seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            check_identity(IdentityId.TRSWAP_CHOI, weyl_basis(3), seed=seed)
+
+    def test_float_seed_is_not_served_the_cached_draw_of_the_equal_int(self):
+        run_catalogue(weyl_basis(3), ids=SEEDED_IDS, seed=4)
+        assert hash(4.0) == hash(4)
+        with pytest.raises(ValueError, match="got 4.0"):
+            run_catalogue(weyl_basis(3), ids=SEEDED_IDS, seed=4.0)
+
+    @pytest.mark.parametrize("seed, as_int", [(np.int64(4), 4), (np.uint8(4), 4), (True, 1)])
+    def test_integer_seeds_share_the_draw_of_their_int(self, seed, as_int):
+        basis = random_basis(3, 890)
+        want = run_catalogue(basis, seed=as_int).checks
+        assert run_catalogue(basis, seed=seed).checks == want
+        assert _Operands(basis, seed).random_pair[0] is _Operands(basis, as_int).random_pair[0]
+        assert type(_Operands(basis, seed).seed) is int

@@ -457,3 +457,34 @@ class TestDeviation:
         assert _deviation(x, c) == pytest.approx(np.linalg.norm(x - c), rel=1e-15)
         assert _deviation(np.complex128(3 + 4j), 0) == 5.0
         assert _deviation(16.0, 16) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bit_identical_to_frob_norm_of_the_dense_difference(self, d):
+        # every kind of left side, number and pattern the library passes; the difference
+        # is taken on a row-major complex copy of X, as the kernel sums it
+        rng = np.random.default_rng(50 + d)
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        numbers = [d**2, 1 / d, np.float64(d) ** 3, np.array(2.5), 2.5 - 1j]
+
+        def dense_difference(x, c, dense):
+            return frob_norm(np.array(x, dtype=complex, order="C") - c * dense)
+
+        for x in (np.array(z), z, np.complex128(z), z.real):
+            for c in numbers:
+                assert _deviation(x, c) == dense_difference(x, c, 1), (type(x), c)
+        small = oracles.random_matrix(d, rng)
+        for x in (small, small.T, np.asfortranarray(small)):
+            for c in numbers:
+                assert _deviation(x, c) == dense_difference(x, c, np.eye(d)), c
+            full = oracles.random_matrix(d, rng)
+            assert _deviation(x, full) == dense_difference(x, 1, full)
+        big = oracles.random_matrix(d * d, rng)
+        patterns = [
+            (None, np.eye(d * d)),
+            (_swap_support(d), swap_operator(d).real),
+            (_phi_grid(d), (bell_projector(d) != 0).astype(float)),
+        ]
+        for x in (big, big.T, big.real):
+            for at, dense in patterns:
+                for c in numbers:
+                    assert _deviation(x, c, at) == dense_difference(x, c, dense), (at, c)
