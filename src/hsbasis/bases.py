@@ -240,10 +240,9 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
 
 
 def require_orthogonal(basis: MatrixBasis, fault: str) -> None:
-    """Raise ValueError with `fault` and the completeness residual unless validate_basis passes."""
-    report = validate_basis(basis)
-    if not report.all_passed:
-        raise ValueError(f"{fault} (completeness residual {report.checks[0].residual:.3e})")
+    """ValueError with `fault` and the cached completeness residual if validate_basis would fail."""
+    if not basis.completeness_residual <= tolerance(basis.d):
+        raise ValueError(f"{fault} (completeness residual {basis.completeness_residual:.3e})")
 
 
 def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:

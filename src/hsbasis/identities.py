@@ -63,12 +63,11 @@ from .linalg import (
     _swap_support,
     apply_superop,
     dagger,
-    hs_inner,
+    hs_gram,
     reshuffle,
     scalar_tolerance,
     tolerance,
 )
-from .maps import bloch_decompose
 from .operators import bell_expansion, swap_expansion, swap_operator
 from .report import IdentityCheck, IdentityReport
 
@@ -150,9 +149,10 @@ def _trswap_choi(s: _Operands) -> float:
 
 def _purity_link(s: _Operands) -> float:
     b = s.random_pair[0]
-    via_swap = hs_inner(b, s.swap_trace(b))
-    via_bloch = bloch_decompose(b, s.basis).squared_length
-    purity = float(np.vdot(b, b).real)
+    coeffs = hs_gram(s.basis.elements, b)  # the Bloch coefficients Tr(g^dag B)
+    via_swap = np.vdot(b, s.swap_trace(b))
+    via_bloch = np.vdot(coeffs, coeffs).real / s.d
+    purity = np.vdot(b, b).real
     return max(abs(x - y) for x, y in itertools.combinations((via_swap, via_bloch, purity), 2))
 
 
@@ -210,7 +210,7 @@ _CATALOGUE = (
     _Identity(
         "identity_4op_tensor",
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _deviation(dagger(s.basis.swap_sum) @ s.basis.swap_sum / s.d**2, 1),
+        lambda s: _deviation(dagger(s.basis.swap_sum) @ s.basis.swap_sum * (1 / s.d**2), 1),
     ),
     _Identity(
         "fourops_1",
@@ -230,13 +230,13 @@ _CATALOGUE = (
     _Identity(
         "bellbell_tensor",
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        lambda s: _deviation(s.basis.bell_sum @ s.basis.bell_sum / s.d**4, 1 / s.d, _phi_grid(s.d)),
+        lambda s: _deviation(s.basis.bell_sum @ s.basis.bell_sum * (1 / s.d**4), 1 / s.d, _phi_grid(s.d)),
     ),
     _Identity(
         "swapbell_tensor",
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
         lambda s: _deviation(
-            s.basis.swap_sum @ s.basis.bell_sum.conj() / s.d**3, 1 / s.d, _phi_grid(s.d)
+            s.basis.swap_sum @ s.basis.bell_sum.conj() * (1 / s.d**3), 1 / s.d, _phi_grid(s.d)
         ),
     ),
     _Identity(

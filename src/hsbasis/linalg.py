@@ -17,12 +17,15 @@ G[m,n] = Tr(x_m^dag y_n) = sum_ij conj(x_m[i,j]) y_n[i,j] conjugates the
 left operand (:func:`hs_gram`), and the combination sum_n c[..., n] x_n
 takes the coefficients as they are (:func:`combine`). An expansion in an
 orthogonal basis {g} with Tr(g^dag g) = d is therefore
-A = combine(hs_gram(g, A), g) / d.
+A = combine(hs_gram(g, A), g) / d. Scaling rule: an array is divided by a
+real s as ``x * (1 / s)``, which is what numpy's complex division (Smith's
+method) does for a real s, at a quarter of the cost.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,18 +89,19 @@ def _phi_grid(d: int) -> tuple[slice, slice]:
 
 def _deviation(x, c, at=None) -> float:
     """||X - c P||_F, P the 0/1 matrix with ones at index ``at`` of X (the diagonal if None),
-    or ||x - c|| for a number x or an array c; c is subtracted in place on one copy of X.
-    Summed as :func:`frob_norm` sums, without its dispatch, so every bit is the same."""
+    or ||x - c|| for a number x or an array c; c comes off one copy of X in place, a real c off
+    its real part. Summed as :func:`frob_norm` sums, without its dispatch: every bit the same."""
     if not isinstance(x, np.ndarray) or not x.ndim:
         z = complex(x) - c
         return math.sqrt(z.real * z.real + z.imag * z.imag)
     diff = np.array(x, dtype=complex, order="C")
+    part = diff.real if isinstance(c, (int, float)) else diff
     if isinstance(c, np.ndarray) and c.ndim:
         diff -= c
     elif at is None:
-        diff.reshape(-1)[:: len(diff) + 1] -= c
+        part.reshape(-1)[:: len(diff) + 1] -= c
     else:
-        diff[at] -= c
+        part[at] -= c
     r = diff.reshape(-1)
     re, im = r.real, r.imag
     return math.sqrt(re.dot(re) + im.dot(im))
@@ -247,12 +251,16 @@ def apply_superop(s: np.ndarray, a: np.ndarray, axes=(-2, -1)) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     if tuple(axes) != (-2, -1):
-        # one transpose and its inverse, the permutation np.moveaxis(a, axes, (-2, -1)) takes
-        n = a.ndim
-        p, q = (ax + n if -n <= ax < 0 else ax for ax in axes)
-        if not (0 <= p < n and 0 <= q < n) or p == q:
-            raise ValueError(f"axes must be two distinct axes of a {n}-index array, got {axes!r}")
-        perm = [i for i in range(n) if i != p and i != q] + [p, q]
-        inverse = sorted(range(n), key=perm.__getitem__)
+        perm, inverse = _axes_permutation(a.ndim, *axes)
         return apply_superop(s, a.transpose(perm)).transpose(inverse)
     return (a.reshape(-1, s.shape[1]) @ s.T).reshape(a.shape)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _axes_permutation(n: int, *axes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose np.moveaxis(a, axes, (-2, -1)) takes on an n-index array, and its inverse."""
+    p, q = (ax + n if -n <= ax < 0 else ax for ax in axes)
+    if not (0 <= p < n and 0 <= q < n) or p == q:
+        raise ValueError(f"axes must be two distinct axes of a {n}-index array, got {axes!r}")
+    perm = tuple(i for i in range(n) if i != p and i != q) + (p, q)
+    return perm, tuple(sorted(range(n), key=perm.__getitem__))

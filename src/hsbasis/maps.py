@@ -33,6 +33,7 @@ from .bases import MatrixBasis, gellmann_y_elements
 from .linalg import (
     _as_two_party,
     _party_axes,
+    _rows,
     apply_superop,
     basis_sum,
     combine,
@@ -126,29 +127,29 @@ def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
     n = basis.d * basis.d
     if coeffs.size != n:
         raise ValueError(f"expected {n} coefficients for d={basis.d}, got {coeffs.size}")
-    return combine(coeffs, basis.elements) / basis.d
+    return combine(coeffs, basis.elements) * (1 / basis.d)
 
 
 def trace_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^dag, which equals Tr(A) 1 for any orthogonal basis."""
-    return apply_superop(basis.bell_sum, _check_square(a, basis.d)) / basis.d
+    return apply_superop(basis.bell_sum, _check_square(a, basis.d)) * (1 / basis.d)
 
 
 def transpose_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^*, the basis expansion of the transposition."""
-    return apply_superop(basis.swap_sum, _check_square(a, basis.d)) / basis.d
+    return apply_superop(basis.swap_sum, _check_square(a, basis.d)) * (1 / basis.d)
 
 
 def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk,lm g_jk g_lm^dag A g_jk^dag g_lm, reproducing A itself."""
     g = basis.elements
     inner = apply_superop(basis.bell_sum, dagger(g) @ _check_square(a, basis.d))
-    return product_sum(inner, g) / basis.d**2
+    return product_sum(inner, g) * (1 / basis.d**2)
 
 
-def _two_sided(s: np.ndarray, b: np.ndarray, d: int, axes) -> np.ndarray:
-    """Apply the superoperator ``s`` to the factors of the two-party ``b`` on ``axes``."""
-    return apply_superop(s, _as_two_party(b, d), axes).reshape(d * d, d * d)
+def _two_sided(s: np.ndarray, t: np.ndarray, axes, scale: float) -> np.ndarray:
+    """``scale`` times ``s`` applied to the factors of the 4-index ``t`` on ``axes``, in C order."""
+    return np.multiply(apply_superop(s, t, axes), scale, order="C").reshape(len(s), len(s))
 
 
 def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.ndarray:
@@ -159,7 +160,7 @@ def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.n
     basis's ``swap_sum``, applied to B on the chosen factor in O(d^6).
     Matches the raw index swap of :func:`hsbasis.linalg.partial_transpose`.
     """
-    return _two_sided(basis.swap_sum, b, basis.d, _party_axes(party)) / basis.d
+    return _two_sided(basis.swap_sum, _as_two_party(b, basis.d), _party_axes(party), 1 / basis.d)
 
 
 def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
@@ -169,7 +170,7 @@ def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     left on factor 2 and g^* from the right on factor 1; O(d^6). Matches
     the raw index permutation of :func:`hsbasis.linalg.reshuffle`.
     """
-    return _two_sided(basis.swap_sum, b, basis.d, (1, 2)) / basis.d
+    return _two_sided(basis.swap_sum, _as_two_party(b, basis.d), (1, 2), 1 / basis.d)
 
 
 def superop_from_action(
@@ -177,11 +178,13 @@ def superop_from_action(
 ) -> Superoperator:
     """Superoperator of L(A) = (1/d) sum_jk Tr(g_jk^dag A) L(g_jk).
 
-    ``action`` gives the image of each basis element; linearity fixes the
-    rest. Column r of the matrix is vec(L(E_r)) for the unit matrix E_r.
+    ``action`` is called once per element, in order; each image must be d x d (ValueError naming
+    the element) and is written into one stack. Column r is vec(L(E_r)) for the unit matrix E_r.
     """
-    images = np.stack([action(g) for g in basis.elements])
-    return Superoperator(basis.d, basis_sum(images, basis.elements.conj()) / basis.d)
+    images = np.empty(basis.elements.shape, dtype=complex)
+    for n, g in enumerate(basis.elements):
+        images[n] = _check_square(action(g), basis.d, f"the image of element {n}")
+    return Superoperator(basis.d, basis_sum(images, basis.elements.conj()) * (1 / basis.d))
 
 
 def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
@@ -196,7 +199,7 @@ def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
         raise ValueError(
             f"superoperator dimension {superop.d} does not match basis dimension {d}"
         )
-    return ChoiState(d, reshuffle(superop.matrix, d) / d)
+    return ChoiState(d, reshuffle(superop.matrix, d) * (1 / d))
 
 
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:
@@ -227,7 +230,7 @@ def state_inversion(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """
     a = _check_square(a, basis.d)
     _check_hermitian(a, tolerance(basis.d), "state-inversion input")
-    return apply_superop(basis.bell_sum - basis.swap_sum, a.conj()) / basis.d
+    return apply_superop(basis.bell_sum - basis.swap_sum, a.conj()) * (1 / basis.d)
 
 
 def state_inversion_y(a: np.ndarray) -> np.ndarray:
@@ -242,7 +245,7 @@ def state_inversion_y(a: np.ndarray) -> np.ndarray:
     d = a.shape[0]
     _check_hermitian(a, tolerance(d), "state-inversion input")
     ys = gellmann_y_elements(d)
-    return 2.0 * apply_superop(sandwich_sum(ys, ys), a.conj()) / d
+    return 2.0 * apply_superop(sandwich_sum(ys, ys), a.conj()) * (1 / d)
 
 
 def state_inversion_two(b: np.ndarray) -> np.ndarray:
@@ -262,8 +265,8 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     _check_hermitian(b, tolerance(d * d), "state-inversion input")
     ys = gellmann_y_elements(d)
     s = sandwich_sum(ys, ys)
-    inverted = _two_sided(s, _two_sided(s, b.conj(), d, _party_axes(2)), d, _party_axes(1))
-    return 4.0 * inverted / d**2
+    inner = apply_superop(s, _as_two_party(b.conj(), d), _party_axes(2))
+    return _two_sided(s, inner, _party_axes(1), 4.0) * (1 / d**2)
 
 
 def concurrence_squared(psi: np.ndarray) -> float:
@@ -275,14 +278,14 @@ def concurrence_squared(psi: np.ndarray) -> float:
     entangled states). With N the conjugate of ``psi`` read as a d x d
     matrix, <psi| y_a (x) y_b |psi^*> = sum_ij y_a[i,j] (N y_b N^T)[i,j]:
     the stack N y N^T costs O(d^5) and the (d(d-1)/2)^2 values Q[a,b]
-    one more ``hs_gram``, so no d^2 x d^2 array is formed.
+    one more product of rows, y R^T, so no d^2 x d^2 array is formed.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     d = _local_dim(psi.size, "state vector length")
-    norm = float(np.linalg.norm(psi))
+    norm = frob_norm(psi)
     if not abs(norm - 1.0) <= tolerance(d):
         raise ValueError(f"state vector must be normalized, got norm {norm!r}")
     n = psi.conj().reshape(d, d)
     ys = gellmann_y_elements(d)
-    q = hs_gram(ys.conj(), n @ ys @ n.T)
+    q = _rows(ys) @ _rows(n @ ys @ n.T).T
     return 4.0 * frob_norm(q) ** 2 / d**2

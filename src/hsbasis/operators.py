@@ -45,7 +45,7 @@ def swap_operator(d: int) -> np.ndarray:
 
 def swap_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_jk g_jk (x) g_jk^dag, the basis-diagonal form of SWAP."""
-    return basis.swap_sum / basis.d
+    return basis.swap_sum * (1 / basis.d)
 
 
 def swap_diag_expansion(basis: MatrixBasis) -> np.ndarray:
@@ -58,13 +58,13 @@ def swap_diag_expansion(basis: MatrixBasis) -> np.ndarray:
     if split is None:
         raise ValueError("basis has no diagonal/off-diagonal split")
     g = basis.elements[list(split.diagonal)]
-    return kron_sum(g, dagger(g)) / basis.d
+    return kron_sum(g, dagger(g)) * (1 / basis.d)
 
 
 def bell_state(d: int) -> np.ndarray:
     """Maximally entangled state (1/sqrt(d)) sum_j |jj> as a length-d^2 vector."""
     d = check_dim(d)
-    return np.eye(d, dtype=complex).ravel() / np.sqrt(d)  # vec(1) / sqrt(d)
+    return np.eye(d, dtype=complex).ravel() * (1 / np.sqrt(d))  # vec(1) / sqrt(d)
 
 
 def bell_projector(d: int) -> np.ndarray:
@@ -81,7 +81,7 @@ def bell_projector(d: int) -> np.ndarray:
 
 def bell_expansion(basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk g_jk (x) g_jk^*, the basis-diagonal form of |Phi+><Phi+|."""
-    return basis.bell_sum / basis.d**2
+    return basis.bell_sum * (1 / basis.d**2)
 
 
 def coherent_state(d: int) -> np.ndarray:

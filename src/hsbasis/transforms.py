@@ -74,7 +74,7 @@ def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:
         )
     require_orthogonal(target, f"target basis {_NOT_ORTHOGONAL}")
     require_orthogonal(source, f"source basis {_NOT_ORTHOGONAL}")
-    return BasisChange(target.d, hs_gram(source.elements, target.elements).T / target.d)
+    return BasisChange(target.d, hs_gram(source.elements, target.elements).T * (1 / target.d))
 
 
 def to_standard(basis: MatrixBasis) -> BasisChange:
@@ -84,7 +84,7 @@ def to_standard(basis: MatrixBasis) -> BasisChange:
     """
     require_orthogonal(basis, f"input basis {_NOT_ORTHOGONAL}")
     n = basis.d * basis.d
-    coeffs = basis.elements.reshape(n, n) / np.sqrt(basis.d)
+    coeffs = basis.elements.reshape(n, n) * (1 / np.sqrt(basis.d))
     return BasisChange(basis.d, coeffs)
 
 

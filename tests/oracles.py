@@ -2,12 +2,16 @@
 
 Everything here is written as plain index loops, deliberately avoiding
 the vectorized code paths of the package, so the two sides of every
-comparison are computed independently.
+comparison are computed independently; the division-based forms at the
+end are the one exception, and say why.
 """
 
 import json
 
 import numpy as np
+
+# only for the division-based forms at the end, which share the package's products
+from hsbasis.linalg import apply_superop, basis_sum, hs_gram, reshuffle
 
 
 def kron_loops(a, b):
@@ -278,3 +282,35 @@ def matrix_entries_loops(m):
 def entries_from_pairs_loops(entries):
     """complex(re, im) of each [re, im] pair, one entry at a time."""
     return np.array([complex(re, im) for re, im in entries], dtype=complex)
+
+
+# Division-based forms of the basis-sum maps. Unlike the loops above they share the
+# package's products on purpose: each divides the same product by d with numpy's complex
+# division, as the package did before it scaled by the reciprocal, so a comparison
+# isolates the scaling step and can be bit for bit.
+
+
+def partial_transpose_map_divided(b, party, basis):
+    d = basis.d
+    axes = (0, 2) if party == 1 else (1, 3)
+    t = np.asarray(b, dtype=complex).reshape(d, d, d, d)
+    return apply_superop(basis.swap_sum, t, axes).reshape(d * d, d * d) / d
+
+
+def reshuffle_map_divided(b, basis):
+    d = basis.d
+    t = np.asarray(b, dtype=complex).reshape(d, d, d, d)
+    return apply_superop(basis.swap_sum, t, (1, 2)).reshape(d * d, d * d) / d
+
+
+def superop_from_action_divided(action, basis):
+    images = np.stack([action(g) for g in basis.elements])
+    return basis_sum(images, basis.elements.conj()) / basis.d
+
+
+def choi_matrix_divided(superop_matrix, d):
+    return reshuffle(superop_matrix, d) / d
+
+
+def change_of_basis_divided(target, source):
+    return hs_gram(source.elements, target.elements).T / target.d

@@ -571,13 +571,20 @@ class TestSharedOperands:
         assert kernel_calls == dict.fromkeys(kernel_calls, 0)
 
     def test_full_run_applies_a_superoperator_only_in_the_seeded_read_out(self, monkeypatch):
-        # of the matrix kernels, identities keeps apply_superop alone, for swap_trace
-        assert not any(hasattr(identities, n) for n in ("hs_gram", "combine", "product_sum"))
-        calls = []
-        original = identities.apply_superop
-        monkeypatch.setattr(identities, "apply_superop", lambda *a: calls.append(a) or original(*a))
+        # of the matrix kernels, identities keeps apply_superop for swap_trace and
+        # hs_gram for purity_link's Bloch coefficients, and nothing of maps
+        assert not any(hasattr(identities, n) for n in ("combine", "product_sum"))
+        modules = {getattr(v, "__module__", None) for v in vars(identities).values()}
+        assert maps.__name__ not in modules
+        calls = {"apply_superop": [], "hs_gram": []}
+        for name, got in calls.items():
+            original = getattr(identities, name)
+            monkeypatch.setattr(
+                identities, name, lambda *a, _got=got, _f=original: _got.append(a) or _f(*a)
+            )
         assert run_catalogue(random_basis(4, 5)).all_passed
-        assert len(calls) == 2  # W(B) once each for trswap_choi and purity_link
+        assert len(calls["apply_superop"]) == 2  # W(B) once each for trswap_choi and purity_link
+        assert len(calls["hs_gram"]) == 1  # B's Bloch coefficients, for purity_link
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_derived_operands_match_loops_on_a_non_orthogonal_stack(self, d):
@@ -752,15 +759,15 @@ class TestSeededEntries:
                 a += 1
 
     def test_shared_pair_is_one_object_across_runs_and_bases(self, monkeypatch):
-        # purity_link passes its B to hs_inner, so the recorded arrays are the runs' own
+        # purity_link passes its B to hs_gram, so the recorded arrays are the runs' own
         seen = []
-        original = identities.hs_inner
+        original = identities.hs_gram
 
         def recording(a, b):
-            seen.append(a)
+            seen.append(b)
             return original(a, b)
 
-        monkeypatch.setattr(identities, "hs_inner", recording)
+        monkeypatch.setattr(identities, "hs_gram", recording)
         bases_of_d3 = [gellmann_basis(3), weyl_basis(3), gellmann_basis(3), random_basis(3, 9)]
         for basis in bases_of_d3:
             run_catalogue(basis, seed=4)

@@ -488,3 +488,21 @@ class TestDeviation:
             for at, dense in patterns:
                 for c in numbers:
                     assert _deviation(x, c, at) == dense_difference(x, c, dense), (at, c)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_reciprocal_scaling_is_complex_division_bit_for_bit(d):
+    # numpy divides by a real s with Smith's method, which multiplies by 1/s: the package's
+    # x * (1 / s) keeps every finite nonzero entry of x / s, over magnitudes 1e-300 ... 1e300
+    rng = np.random.default_rng(1600 + d)
+    shape = (64, 64)
+    mantissa = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = mantissa * 10.0 ** rng.integers(-300, 301, size=shape)
+    for s in (d, d**2, d**3, d**4, np.sqrt(d)):
+        got, want = x * (1 / s), x / s
+        assert np.isfinite(want).all()
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            nonzero = w != 0
+            assert nonzero.any()
+            assert np.array_equal(g[nonzero].view(np.uint64), w[nonzero].view(np.uint64)), s
+            assert not g[~nonzero].any()

@@ -48,7 +48,7 @@ from hsbasis.operators import (
     swap_expansion,
     swap_operator,
 )
-from hsbasis.transforms import to_standard
+from hsbasis.transforms import change_of_basis, to_standard
 
 from hsbasis import bases, identities, linalg, maps, operators
 from hsbasis.identities import run_catalogue
@@ -324,10 +324,41 @@ class TestSuperoperators:
         assert np.allclose(combined, 0.3 * superop.apply(a1) + 2j * superop.apply(a2))
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match=r"must be 9x9, got \(4, 9\)"):
+        with pytest.raises(ValueError, match=r"image of element 0 must be 3x3, got \(2, 2\)"):
             superop_from_action(lambda g: g[:2, :2], gellmann_basis(3))
         with pytest.raises(ValueError, match=r"must be 4x4, got \(9, 9\)"):
             Superoperator(2, np.eye(9))
+
+    @pytest.mark.parametrize(
+        "image, shape",
+        [
+            (lambda g: complex(g[0, 0]), ()),
+            (lambda g: g[0], (3,)),
+            (lambda g: g[:1], (1, 3)),  # would broadcast over the 3x3 slot
+            (lambda g: g[..., None], (3, 3, 1)),
+            (lambda g: np.eye(4), (4, 4)),
+        ],
+        ids=["scalar", "vector", "broadcastable_row", "trailing_axis", "too_large"],
+    )
+    def test_wrong_shaped_image_names_element_and_shapes(self, image, shape):
+        calls = []
+
+        def action(g):
+            calls.append(g)
+            return image(g) if len(calls) == 5 else g
+
+        with pytest.raises(ValueError) as caught:
+            superop_from_action(action, weyl_basis(3))
+        assert str(caught.value) == f"the image of element 4 must be 3x3, got {shape}"
+        assert len(calls) == 5  # stops at the first wrong image
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_action_called_once_per_element_in_order(self, d):
+        basis = random_basis(d, 60 + d)
+        seen = []
+        superop_from_action(lambda g: seen.append(g) or g.T, basis)
+        assert len(seen) == d * d
+        assert np.array_equal(np.stack(seen), basis.elements)
 
 
 class TestChoi:
@@ -612,3 +643,66 @@ class TestSharedBasisSums:
         h = oracles.random_hermitian(d, np.random.default_rng(40 + d))
         fresh = apply_superop(sandwich_sum(g, gd - g.conj()), h.conj()) / d
         assert np.linalg.norm(state_inversion(h, b) - fresh) <= 1e-3 * tolerance(d)
+
+
+def _haar_weyl(d, seed):
+    return rotated_basis(weyl_basis(d), random_unitary(d * d, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_reciprocal_scaling_matches_division_bit_for_bit(d):
+    # x * (1/d) is numpy's complex division by d, so every nonzero entry keeps its bits
+    rng = np.random.default_rng(700 + d)
+    bases_of_d = all_bases(d, 710 + d) + [_haar_weyl(d, 720 + d)]
+    b = oracles.random_matrix(d * d, rng)
+    k = oracles.random_matrix(d, rng)
+
+    def action(g):
+        return k @ g @ k.conj().T
+
+    for basis in bases_of_d:
+        superop = superop_from_action(action, basis)
+        pairs = [
+            (partial_transpose_map(b, p, basis), oracles.partial_transpose_map_divided(b, p, basis))
+            for p in (1, 2)
+        ]
+        pairs += [
+            (reshuffle_map(b, basis), oracles.reshuffle_map_divided(b, basis)),
+            (superop.matrix, oracles.superop_from_action_divided(action, basis)),
+            (choi_state(superop, basis).matrix, oracles.choi_matrix_divided(superop.matrix, d)),
+        ]
+        pairs += [
+            (change_of_basis(t, basis).coeffs, oracles.change_of_basis_divided(t, basis))
+            for t in bases_of_d
+        ]
+        for got, want in pairs:
+            # == is bitwise on nonzero finite entries and lets an exact zero change sign
+            assert np.isfinite(want).all() and np.array_equal(got, want), basis.kind
+
+
+class TestOrthogonalityCheckWithoutReport:
+    """rotated_basis and change_of_basis judge the cached residual, not a validate_basis report."""
+
+    @pytest.fixture(autouse=True)
+    def no_report(self, monkeypatch):
+        def refused(basis):
+            raise AssertionError("validate_basis called")
+
+        monkeypatch.setattr(bases, "validate_basis", refused)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_orthogonal_bases_pass(self, d):
+        basis = _haar_weyl(d, 730 + d)
+        assert change_of_basis(gellmann_basis(d), basis).coeffs.shape == (d * d, d * d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_non_orthogonal_bases_raise_their_messages(self, d):
+        u = np.eye(d * d, dtype=complex)
+        u[0, 0] = 1.5
+        with pytest.raises(ValueError, match=r"not unitary.*residual \d\.\d{3}e[+-]\d+\)$"):
+            rotated_basis(standard_basis(d), u)
+        skewed = MatrixBasis(d, weyl_basis(d).elements * np.linspace(1, 2, d * d)[:, None, None])
+        weyl = weyl_basis(d)
+        for which, pair in [("target", (skewed, weyl)), ("source", (weyl, skewed))]:
+            with pytest.raises(ValueError, match=rf"^{which} basis is not orthogonal.*residual"):
+                change_of_basis(*pair)
