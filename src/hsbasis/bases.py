@@ -39,13 +39,12 @@ class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
     The element stack is made read-only on construction, so instances can
-    be shared freely; the named constructors share one instance per
-    (kind, d). Validation, the maps, the expansions and the catalogue
-    read one basis sum, sum g (x) g^*, built on first use in O(d^6), and
-    its partial transpose sum g (x) g^dag, an O(d^4) index move; both are
-    kept read-only, 16 d^4 bytes each, for as long as the basis lives, so
-    a validated or rotated basis keeps the first and the completeness
-    residual read off it.
+    be shared freely. Validation, the maps, the expansions and the
+    catalogue read one basis sum, ``bell_sum`` = sum g (x) g^*, built on
+    first use in O(d^6), and its partial transpose ``swap_sum`` =
+    sum g (x) g^dag, an O(d^4) index move; both are kept read-only,
+    16 d^4 bytes each, for as long as the basis lives, so a validated or
+    rotated basis keeps the first and the completeness residual read off it.
     """
 
     d: int
@@ -109,7 +108,7 @@ def check_dim(d: int) -> int:
 
 
 _NAMED_CACHE_SIZE = 12
-"""Named bases kept at once (three kinds at four dimensions), least recently used dropped first."""
+"""Entries of the named-basis cache of :func:`_shared` and of the Gell-Mann y cache."""
 
 
 @lru_cache(maxsize=_NAMED_CACHE_SIZE)
@@ -120,11 +119,13 @@ def _named_basis(build, d: int) -> MatrixBasis:
 def _shared(build):
     """Serve the named constructor ``build`` from one instance per (kind, d).
 
-    The dimension is checked before the lookup, so ``4.0`` or ``True``
-    still raises instead of hashing equal to a cached 4 or 1, and the
-    key always holds a Python int. The shared basis keeps its sums and
-    residual once built, so at most _NAMED_CACHE_SIZE bases of up to
-    three 16 d^4-byte arrays each stay alive.
+    Every named constructor, so also ``NAMED_BASES`` and the CLI, returns
+    one shared read-only basis per (kind, d) from one least-recently-used
+    cache, so its elements, sums and residual are built once per process;
+    at most _NAMED_CACHE_SIZE bases (three kinds at four dimensions) of up
+    to three 16 d^4-byte arrays each stay alive. The dimension is checked
+    before the lookup, so ``4.0`` or ``True`` still raises instead of
+    hashing equal to a cached 4 or 1, and the key always holds a Python int.
     """
 
     @wraps(build)
@@ -207,24 +208,19 @@ NAMED_BASES = {
     "gellmann": gellmann_basis,
     "weyl": weyl_basis,
 }
-"""The built-in constructions by the name used in basis files and on the command line.
-
-Each returns the one shared, read-only basis of its kind at d."""
+"""The built-in constructions by the name used in basis files and on the command line."""
 
 
 def validate_basis(basis: MatrixBasis) -> IdentityReport:
     """Check orthogonality through the completeness relation of the basis sum.
 
-    The residual is the Frobenius deviation of ``bell_sum`` = sum g (x) g^*
-    from d^2 |Phi+><Phi+|. Reshuffled, that is the deviation of the
-    completeness tensor G^T G^* from d times the identity, G the d^2 x d^2
-    matrix of rows vec(g). The Gram matrix G^* G^T has the same spectrum,
-    so the residual equals the Frobenius deviation of Tr(g_p^dag g_q)
-    from d*delta_pq and bounds its largest entry from above. It reads the
-    one sum the maps, expansions and catalogue share, with no product of
-    its own, and subtracts d on the Phi+ grid through the catalogue's
-    residual kernel once per basis (``MatrixBasis.completeness_residual``);
-    the verdict is pass iff it stays within tolerance(d).
+    The residual, ``MatrixBasis.completeness_residual``, is the Frobenius
+    deviation of ``bell_sum`` from d^2 |Phi+><Phi+|. Reshuffled, that is
+    the deviation of the completeness tensor G^T G^* from d times the
+    identity, G the d^2 x d^2 matrix of rows vec(g). The Gram matrix
+    G^* G^T has the same spectrum, so the residual equals the Frobenius
+    deviation of Tr(g_p^dag g_q) from d*delta_pq and bounds its largest
+    entry from above. The verdict is pass iff it stays within tolerance(d).
     """
     d = basis.d
     check = IdentityCheck(

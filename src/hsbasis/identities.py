@@ -12,10 +12,9 @@ its members, their values and the default run order are the table's.
 Every basis-sum entry has one g and one g^* per summation index, so it
 is a contraction of the completeness tensor
 T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l] (= d delta_ik delta_jl for an
-orthogonal basis) with itself. T is an O(d^4) index move of the basis's
-one sum, K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`,
-built once in O(d^6) and shared with the maps and expansions on the same
-basis): T = reshuffle(K). Indices a, b are free, the others summed:
+orthogonal basis) with itself: T = reshuffle(K), an O(d^4) index move of
+K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`). Indices
+a, b are free, the others summed:
 
 - O(d^3) partial traces: sum g g^dag = T[a,i,b,i], sum g g^* = T[a,i,i,b],
   sum Tr(g) g^dag = T[i,i,b,a], sum Tr(g) g^* = T[i,i,a,b] and
@@ -27,23 +26,18 @@ basis): T = reshuffle(K). Indices a, b are free, the others summed:
   sum Tr(g_m g_n) (g_m g_n)^* = T[i,j,a,c] T[j,i,c,b];
 - O(d^4): sum |Tr(g_m g_n)|^2 = T[i,j,k,l] T[j,i,l,k].
 
-The two expansions read K and its party-2 transpose sum g (x) g^dag
-(:attr:`~hsbasis.bases.MatrixBasis.swap_sum`). The three two-party
-four-factor sums are d^2 x d^2 products of these two sums, their adjoints
-or conjugates, by the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD,
-O(d^6) each; no d^4-long stack of pair products is built. The two seeded
-checks on random A, B cost O(d^4): they read (A (x) B) SWAP off
-reshuffle(SWAP) without forming A (x) B (:meth:`_Operands.swap_trace`).
+The two expansions read K and :attr:`~hsbasis.bases.MatrixBasis.swap_sum`.
+The three two-party four-factor sums are d^2 x d^2 products of these two
+sums, their adjoints or conjugates, by the mixed-product rule
+(A (x) B)(C (x) D) = AC (x) BD, O(d^6) each; no d^4-long stack of pair
+products is built. The two seeded checks on random A, B cost O(d^4): they
+read (A (x) B) SWAP off reshuffle(SWAP) without forming A (x) B
+(:meth:`_Operands.swap_trace`).
 
-A run builds T, its partial trace T[i,i,a,b] and reshuffle(SWAP) at most
-once each, on first use, the last only for the seeded checks; K is built
-once per basis, and A, B (one draw of one generator) once per (seed, d)
-per process, read-only and shared by every later run. Every residual
-subtracts its right side in place from one copy of the left, only where the
-right side's entries are (:func:`~hsbasis.linalg._deviation`), so no dense
-SWAP or Bell projector is built. The trade-off: checked alone on a fresh
-basis, a two-factor entry builds K in O(d^6), where a sum over the d^2
-elements would take O(d^5).
+A run shares its operands (:class:`_Operands`), and every residual is
+:func:`~hsbasis.linalg._deviation`'s. The trade-off: checked alone on a
+fresh basis, a two-factor entry builds K in O(d^6), where a sum over the
+d^2 elements would take O(d^5).
 """
 
 from __future__ import annotations
@@ -83,7 +77,7 @@ _SEEDED_CACHE_SIZE = 16
 @lru_cache(maxsize=_SEEDED_CACHE_SIZE)
 def _seeded_pair(seed: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A, B: d x d complex Gaussian matrices from one generator on ``seed``, drawn once per
-    (seed, d) per process and returned read-only."""
+    (seed, d) per process and returned read-only to every later run at that (seed, d)."""
     rng = np.random.default_rng(seed)
     shape = (d, d)
     return tuple(
@@ -94,11 +88,11 @@ def _seeded_pair(seed: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 class _Operands:
     """What the catalogue entries share, derived once per run.
 
-    The basis sums are the basis's own, and A, B are shared read-only by
-    every run at one (seed, d) in the process. The other operands are
-    computed on first use, so a run builds only those its entries need,
-    and each at most once: T, its partial trace T[i,i,a,b] and
-    reshuffle(SWAP), for which SWAP is built once per run and not kept.
+    The basis sums are the basis's own and A, B are :func:`_seeded_pair`'s.
+    The other operands are computed on first use, so a run builds only
+    those its entries need, and each at most once: T, its partial trace
+    T[i,i,a,b] and reshuffle(SWAP), for which SWAP is built once per run
+    and not kept.
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
@@ -126,7 +120,7 @@ class _Operands:
 
     @property
     def random_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """A, B: the read-only draw of one generator on the run's seed, shared per (seed, d)."""
+        """A, B of the run's seed, from :func:`_seeded_pair`."""
         return _seeded_pair(self.seed, self.d)
 
     def swap_trace(self, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ takes the coefficients as they are (:func:`combine`). An expansion in an
 orthogonal basis {g} with Tr(g^dag g) = d is therefore
 A = combine(hs_gram(g, A), g) / d. Scaling rule: an array is divided by a
 real s as ``x * (1 / s)``, which is what numpy's complex division (Smith's
-method) does for a real s, at a quarter of the cost.
+method) does for a real s, so every finite nonzero entry keeps its bits, at
+a quarter of the cost.
 """
 
 from __future__ import annotations

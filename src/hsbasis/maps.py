@@ -6,19 +6,15 @@ reshuffling of two-party operators, general superoperators with their
 Choi representation, universal state inversion, and the pure-state
 concurrence it induces.
 
-Every map is a two-sided sum A -> sum_n x_n A y_n: the superoperator
-:func:`hsbasis.linalg.sandwich_sum` applied by :func:`hsbasis.linalg.apply_superop`
-on the axes of the factor it acts on (conventions in :mod:`hsbasis.linalg`).
-The basis-expanded maps take it from the one sum a basis builds once in
-O(d^6), sum g (x) g^*, or from its O(d^4) partial transpose
-(:class:`~hsbasis.bases.MatrixBasis`), and apply it in O(d^4) to a d x d
-operand, O(d^6) to a two-party one. A map's Choi state is the reshuffle
-of its superoperator, and the read-out reshuffles back, both in O(d^4).
+A basis-expanded map is a two-sided sum A -> sum_n x_n A y_n: its
+superoperator (:func:`hsbasis.linalg.sandwich_sum`, conventions in
+:mod:`hsbasis.linalg`) is one of the basis's sums
+(:class:`~hsbasis.bases.MatrixBasis`), applied by
+:func:`hsbasis.linalg.apply_superop` on the axes of the factor it acts
+on, in O(d^4) to a d x d operand, O(d^6) to a two-party one.
 Conjugation is entrywise in the computational basis, in which the
-antisymmetric Gell-Mann elements used for state inversion are defined.
-The pure-state concurrence reads its sum over pairs of those elements
-off the y stack in O(d^5), without the d^2 x d^2 projector and the
-two-party inversion it equals.
+antisymmetric Gell-Mann elements of state inversion and concurrence are
+defined.
 """
 
 from __future__ import annotations
@@ -224,28 +220,28 @@ def _check_hermitian(a: np.ndarray, tol: float, what: str) -> None:
 def state_inversion(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """Universal state inversion (1/d) sum g A^* (g^dag - g^*).
 
-    Equals Tr(A) 1 - A for Hermitian A, combining the trace-map and
-    transposition-map expansions: its superoperator is the basis's
-    ``bell_sum - swap_sum``.
+    Equals Tr(A) 1 - A for Hermitian A: the trace map minus the transposition map, both on
+    A^*. The basis's ``bell_sum`` and ``swap_sum`` each take A^* to a d x d image in O(d^4),
+    and the two images are subtracted, so no d^2 x d^2 difference is formed.
     """
     a = _check_square(a, basis.d)
     _check_hermitian(a, tolerance(basis.d), "state-inversion input")
-    return apply_superop(basis.bell_sum - basis.swap_sum, a.conj()) * (1 / basis.d)
+    a = a.conj()
+    return (apply_superop(basis.bell_sum, a) - apply_superop(basis.swap_sum, a)) * (1 / basis.d)
 
 
 def state_inversion_y(a: np.ndarray) -> np.ndarray:
-    """Single-party inversion via the antisymmetric elements only.
+    """Single-party inversion (2/d) sum_{j<k} y_jk A^* y_jk via the antisymmetric elements only.
 
-    (2/d) sum_{j<k} y_jk A^* y_jk; the real-entry elements drop out of
-    the general expansion because g^dag = g^* for them.
+    The real-entry elements drop out of :func:`state_inversion` because g^dag = g^* for them.
+    The sum is one product of the y stack with the stack A^* y, O(d^5), with no superoperator.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"state-inversion input must be square, got {a.shape}")
-    d = a.shape[0]
+    # an empty input is refused as not 1x1
+    a = _check_square(a, max(math.isqrt(np.size(a)), 1), "state-inversion input")
+    d = len(a)
     _check_hermitian(a, tolerance(d), "state-inversion input")
     ys = gellmann_y_elements(d)
-    return 2.0 * apply_superop(sandwich_sum(ys, ys), a.conj()) * (1 / d)
+    return product_sum(ys, a.conj() @ ys) * (2 / d)
 
 
 def state_inversion_two(b: np.ndarray) -> np.ndarray:
@@ -256,7 +252,8 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     Equals Tr(B) 1 - Tr_2(B) (x) 1 - 1 (x) Tr_1(B) + B for Hermitian B.
     Since y_jk (x) y_lm = (y_jk (x) 1)(1 (x) y_lm), the sum factorizes:
     the single-party superoperator of Y -> sum y Y y is built once in
-    O(d^6) and applied to factor 2, then to factor 1, each in O(d^6).
+    O(d^6) and applied to factor 2, then, scaled by 4/d^2, to factor 1,
+    each in O(d^6).
     """
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -266,7 +263,7 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     ys = gellmann_y_elements(d)
     s = sandwich_sum(ys, ys)
     inner = apply_superop(s, _as_two_party(b.conj(), d), _party_axes(2))
-    return _two_sided(s, inner, _party_axes(1), 4.0) * (1 / d**2)
+    return _two_sided(s, inner, _party_axes(1), 4 / d**2)
 
 
 def concurrence_squared(psi: np.ndarray) -> float:

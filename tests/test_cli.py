@@ -105,6 +105,13 @@ class TestVerify:
         code = run("verify", "--dim", "3", "--basis", f"file:{path}")
         assert code == 2
 
+    def test_named_basis_without_dim_exits_2(self, capsys):
+        code = run("verify", "--basis", "weyl")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "hsbasis: --dim is required with the built-in basis 'weyl'\n"
+
     def test_unknown_basis_spec_exits_2(self, capsys):
         code = run("verify", "--dim", "2", "--basis", "bogus")
         assert code == 2

@@ -75,6 +75,11 @@ class TestMatrixFormat:
         with pytest.raises(FormatError, match="object"):
             matrix_from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("entries", ["[[1.0, 0.0]]", {"0": [1.0, 0.0]}, None])
+    def test_entries_not_a_list(self, entries):
+        with pytest.raises(FormatError, match='^field "entries" must be a list'):
+            matrix_from_dict({"rows": 1, "cols": 1, "entries": entries})
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -303,6 +308,25 @@ class TestBasisFormat:
     def test_d_too_small(self):
         with pytest.raises(FormatError, match='"d"'):
             basis_from_dict({"d": 1, "kind": "custom", "elements": [matrix_to_dict(np.eye(1))]})
+
+    @pytest.mark.parametrize("doc", [[], "basis", None])
+    def test_not_an_object(self, doc):
+        with pytest.raises(FormatError, match="^basis document must be an object"):
+            basis_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", [3, None, ["weyl"]])
+    def test_kind_not_a_string(self, kind):
+        doc = basis_to_dict(gellmann_basis(2))
+        doc["kind"] = kind
+        with pytest.raises(FormatError, match='^field "kind" must be a string'):
+            basis_from_dict(doc)
+
+    @pytest.mark.parametrize("elements", [{}, "elements", None])
+    def test_elements_not_a_list(self, elements):
+        doc = basis_to_dict(gellmann_basis(2))
+        doc["elements"] = elements
+        with pytest.raises(FormatError, match='^field "elements" must be a list'):
+            basis_from_dict(doc)
 
     def test_unknown_kind_becomes_custom(self):
         doc = basis_to_dict(gellmann_basis(2))

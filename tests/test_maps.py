@@ -463,6 +463,11 @@ class TestStateInversion:
         with pytest.raises(ValueError, match="Hermitian"):
             state_inversion(np.full((2, 2), np.nan), weyl_basis(2))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (), (0, 0), (2, 2, 2)])
+    def test_y_form_rejects_non_square_input(self, shape):
+        with pytest.raises(ValueError, match=r"^state-inversion input must be \d+x\d+, got"):
+            state_inversion_y(np.zeros(shape))
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_preserves_positivity(self, d):
         rng = np.random.default_rng(70 + d)
@@ -504,6 +509,11 @@ class TestStateInversionTwo:
         rng = np.random.default_rng(18)
         with pytest.raises(ValueError, match="Hermitian"):
             state_inversion_two(oracles.random_matrix(4, rng))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (16,), ()])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^two-party operator must be square, got"):
+            state_inversion_two(np.zeros(shape))
 
 
 class TestConcurrence:

@@ -175,6 +175,19 @@ class TestBlockStructure:
         )
         assert block_structure(to_standard(b), scrambled) is None
 
+    def test_split_of_the_wrong_lengths_fails(self):
+        b = gellmann_basis(3)
+        split = split_diag_offdiag(b)
+        for short in (
+            BasisSplit(split.diagonal[:-1], split.offdiagonal + split.diagonal[-1:]),
+            BasisSplit(split.diagonal, split.offdiagonal[:-1]),
+        ):
+            assert block_structure(to_standard(b), short) is None
+
+    def test_wrongly_shaped_basis_change_rejected(self):
+        with pytest.raises(ValueError, match=r"^coefficient matrix for d=2 must be 4x4, got \(3, 3\)$"):
+            BasisChange(2, np.eye(3))
+
     def test_nan_leakage_fails(self):
         b = gellmann_basis(3)
         split = split_diag_offdiag(b)
