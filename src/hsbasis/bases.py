@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import _deviation, _phi_grid, combine, kron_sum, partial_transpose, tolerance
+from .linalg import _check_shape, _deviation, _phi_grid, combine, kron_sum, partial_transpose, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
@@ -52,13 +52,9 @@ class MatrixBasis:
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", check_dim(self.d))
-        el = np.array(self.elements, dtype=complex)
-        if el.shape != (self.d * self.d, self.d, self.d):
-            raise ValueError(
-                f"basis for d={self.d} needs {self.d * self.d} elements of shape "
-                f"({self.d}, {self.d}); got array of shape {el.shape}"
-            )
+        d = check_dim(self.d)
+        object.__setattr__(self, "d", d)
+        el = _check_shape(np.array(self.elements, dtype=complex), (d * d, d, d), "basis elements")
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
 
@@ -235,6 +231,9 @@ def validate_basis(basis: MatrixBasis) -> IdentityReport:
     return IdentityReport((check,))
 
 
+_NOT_ORTHOGONAL = "is not orthogonal with the dimension-d normalization"
+
+
 def require_orthogonal(basis: MatrixBasis, fault: str) -> None:
     """ValueError with `fault` and the cached completeness residual if validate_basis would fail."""
     if not basis.completeness_residual <= tolerance(basis.d):
@@ -249,12 +248,8 @@ def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:
     whose residual is d ||U^dag U - 1||_F for an orthogonal input basis;
     it is returned holding the ``bell_sum`` and residual that check built.
     """
-    coeffs = np.asarray(getattr(u, "coeffs", u), dtype=complex)
     n = basis.d * basis.d
-    if coeffs.shape != (n, n):
-        raise ValueError(
-            f"coefficient matrix must be {n}x{n} for d={basis.d}, got {coeffs.shape}"
-        )
+    coeffs = _check_shape(getattr(u, "coeffs", u), (n, n), f"coefficient matrix for d={basis.d}")
     rotated = MatrixBasis(basis.d, combine(coeffs, basis.elements), "custom")
     require_orthogonal(rotated, "coefficient matrix is not unitary, or the basis not orthogonal")
     return rotated

@@ -4,7 +4,9 @@ Subcommands: build, verify, transform, map, choi, concurrence,
 decompose. Exit codes: 0 on success (verify: all identities pass), 1
 when any identity fails, 2 on usage or input-format errors, including
 input whose sums overflow to non-finite values, which is refused with
-one line and no floating-point warning. Machine reports are versioned
+one line and no floating-point warning. A basis that fails validation
+exits 2 in map, choi (except --map identity) and transform; verify
+reports it as failures. Machine reports are versioned
 JSON documents; two runs with the same configuration and the same BLAS
 thread count produce byte-identical output. At d >= 12 some residuals
 differ in the last digit between 1 and 2 threads; verdicts do not.

@@ -126,13 +126,17 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(hs_gram(a, b))
 
 
+def _check_shape(a, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``a`` as a complex array, or ValueError "<what> must be AxB[xC], got <its shape>"."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{what} must be {'x'.join(map(str, shape))}, got {a.shape}")
+    return a
+
+
 def _as_two_party(m: np.ndarray, d: int) -> np.ndarray:
     """Reshape a d^2 x d^2 matrix to the 4-index tensor T[j,k,l,m]."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d * d, d * d):
-        raise ValueError(
-            f"expected a {d * d}x{d * d} matrix for local dimension {d}, got {m.shape}"
-        )
+    m = _check_shape(m, (d * d, d * d), f"two-party operator for local dimension {d}")
     return m.reshape(d, d, d, d)
 
 

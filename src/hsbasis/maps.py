@@ -11,7 +11,9 @@ superoperator (:func:`hsbasis.linalg.sandwich_sum`, conventions in
 :mod:`hsbasis.linalg`) is one of the basis's sums
 (:class:`~hsbasis.bases.MatrixBasis`), applied by
 :func:`hsbasis.linalg.apply_superop` on the axes of the factor it acts
-on, in O(d^4) to a d x d operand, O(d^6) to a two-party one.
+on, in O(d^4) to a d x d operand, O(d^6) to a two-party one. Each such
+map first refuses, with ValueError, a basis whose cached completeness
+residual fails :func:`~hsbasis.bases.validate_basis`.
 Conjugation is entrywise in the computational basis, in which the
 antisymmetric Gell-Mann elements of state inversion and concurrence are
 defined.
@@ -25,9 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import MatrixBasis, gellmann_y_elements
+from .bases import _NOT_ORTHOGONAL, MatrixBasis, gellmann_y_elements, require_orthogonal
 from .linalg import (
     _as_two_party,
+    _check_shape,
     _party_axes,
     _rows,
     apply_superop,
@@ -63,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Coefficients b_jk = Tr(g_jk^dag B) of an operator in a given basis."""
 
@@ -77,7 +80,7 @@ class BlochVector:
         return float(np.sum(np.abs(self.coeffs) ** 2)) / self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on d x d operators as a matrix on vectorized inputs."""
 
@@ -85,15 +88,14 @@ class Superoperator:
     matrix: np.ndarray  # (d*d, d*d), complex
 
     def __post_init__(self) -> None:
-        shape, n = np.shape(self.matrix), self.d * self.d
-        if shape != (n, n):
-            raise ValueError(f"superoperator for d={self.d} must be {n}x{n}, got {shape}")
+        n, what = self.d * self.d, f"superoperator for d={self.d}"
+        object.__setattr__(self, "matrix", _check_shape(self.matrix, (n, n), what))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        return apply_superop(self.matrix, _check_square(a, self.d))
+        return apply_superop(self.matrix, _check_shape(a, (self.d, self.d), "operator"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiState:
     """Two-party operator (L (x) Id)|Phi+><Phi+| encoding a map L."""
 
@@ -101,16 +103,9 @@ class ChoiState:
     matrix: np.ndarray  # (d*d, d*d), complex
 
 
-def _check_square(a: np.ndarray, d: int, what: str = "operator") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (d, d):
-        raise ValueError(f"{what} must be {d}x{d}, got {a.shape}")
-    return a
-
-
 def bloch_decompose(a: np.ndarray, basis: MatrixBasis) -> BlochVector:
     """Bloch coefficients b_jk = Tr(g_jk^dag A)."""
-    a = _check_square(a, basis.d)
+    a = _check_shape(a, (basis.d, basis.d), "operator")
     return BlochVector(basis.d, basis.kind, hs_gram(basis.elements, a))
 
 
@@ -128,18 +123,24 @@ def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
 
 def trace_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^dag, which equals Tr(A) 1 for any orthogonal basis."""
-    return apply_superop(basis.bell_sum, _check_square(a, basis.d)) * (1 / basis.d)
+    a = _check_shape(a, (basis.d, basis.d), "operator")
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
+    return apply_superop(basis.bell_sum, a) * (1 / basis.d)
 
 
 def transpose_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^*, the basis expansion of the transposition."""
-    return apply_superop(basis.swap_sum, _check_square(a, basis.d)) * (1 / basis.d)
+    a = _check_shape(a, (basis.d, basis.d), "operator")
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
+    return apply_superop(basis.swap_sum, a) * (1 / basis.d)
 
 
 def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d^2) sum_jk,lm g_jk g_lm^dag A g_jk^dag g_lm, reproducing A itself."""
+    a = _check_shape(a, (basis.d, basis.d), "operator")
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
     g = basis.elements
-    inner = apply_superop(basis.bell_sum, dagger(g) @ _check_square(a, basis.d))
+    inner = apply_superop(basis.bell_sum, dagger(g) @ a)
     return product_sum(inner, g) * (1 / basis.d**2)
 
 
@@ -156,6 +157,7 @@ def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.n
     basis's ``swap_sum``, applied to B on the chosen factor in O(d^6).
     Matches the raw index swap of :func:`hsbasis.linalg.partial_transpose`.
     """
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
     return _two_sided(basis.swap_sum, _as_two_party(b, basis.d), _party_axes(party), 1 / basis.d)
 
 
@@ -166,6 +168,7 @@ def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     left on factor 2 and g^* from the right on factor 1; O(d^6). Matches
     the raw index permutation of :func:`hsbasis.linalg.reshuffle`.
     """
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
     return _two_sided(basis.swap_sum, _as_two_party(b, basis.d), (1, 2), 1 / basis.d)
 
 
@@ -176,10 +179,11 @@ def superop_from_action(
 
     ``action`` is called once per element, in order; each image must be d x d (ValueError naming
     the element) and is written into one stack. Column r is vec(L(E_r)) for the unit matrix E_r.
+    The expansion assumes an orthogonal basis; it reads no basis sum, so none is checked.
     """
     images = np.empty(basis.elements.shape, dtype=complex)
     for n, g in enumerate(basis.elements):
-        images[n] = _check_square(action(g), basis.d, f"the image of element {n}")
+        images[n] = _check_shape(action(g), (basis.d, basis.d), f"the image of element {n}")
     return Superoperator(basis.d, basis_sum(images, basis.elements.conj()) * (1 / basis.d))
 
 
@@ -201,7 +205,7 @@ def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:
     """L(A) = d Tr_2[C_L (1 (x) A^T)] = d devec(reshuffle(C_L) vec(A)), in O(d^4)."""
     d = choi.d
-    return d * apply_superop(reshuffle(choi.matrix, d), _check_square(a, d))
+    return d * apply_superop(reshuffle(choi.matrix, d), _check_shape(a, (d, d), "operator"))
 
 
 def _local_dim(n: int, what: str) -> int:
@@ -224,8 +228,9 @@ def state_inversion(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     A^*. The basis's ``bell_sum`` and ``swap_sum`` each take A^* to a d x d image in O(d^4),
     and the two images are subtracted, so no d^2 x d^2 difference is formed.
     """
-    a = _check_square(a, basis.d)
+    a = _check_shape(a, (basis.d, basis.d), "operator")
     _check_hermitian(a, tolerance(basis.d), "state-inversion input")
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
     a = a.conj()
     return (apply_superop(basis.bell_sum, a) - apply_superop(basis.swap_sum, a)) * (1 / basis.d)
 
@@ -237,8 +242,8 @@ def state_inversion_y(a: np.ndarray) -> np.ndarray:
     The sum is one product of the y stack with the stack A^* y, O(d^5), with no superoperator.
     """
     # an empty input is refused as not 1x1
-    a = _check_square(a, max(math.isqrt(np.size(a)), 1), "state-inversion input")
-    d = len(a)
+    d = max(math.isqrt(np.size(a)), 1)
+    a = _check_shape(a, (d, d), "state-inversion input")
     _check_hermitian(a, tolerance(d), "state-inversion input")
     ys = gellmann_y_elements(d)
     return product_sum(ys, a.conj() @ ys) * (2 / d)

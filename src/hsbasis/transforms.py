@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSplit, MatrixBasis, require_orthogonal
-from .linalg import hs_gram, tolerance
+from .bases import _NOT_ORTHOGONAL, BasisSplit, MatrixBasis, require_orthogonal
+from .linalg import _check_shape, hs_gram, tolerance
 
 __all__ = [
     "BasisChange",
@@ -29,10 +29,7 @@ __all__ = [
 ]
 
 
-_NOT_ORTHOGONAL = "is not orthogonal with the dimension-d normalization"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisChange:
     """Coefficient matrix of a basis transformation.
 
@@ -46,15 +43,12 @@ class BasisChange:
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=complex)
         n = self.d * self.d
-        if coeffs.shape != (n, n):
-            raise ValueError(
-                f"coefficient matrix for d={self.d} must be {n}x{n}, got {coeffs.shape}"
-            )
+        _check_shape(coeffs, (n, n), f"coefficient matrix for d={self.d}")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockStructure:
     """Diagonal and off-diagonal blocks of a standard-basis transformation."""
 

@@ -538,3 +538,35 @@ class TestChoiFromMaps:
         out = tmp_path / "c.json"
         assert run("choi", "--map", name, "--dim", "3", "--basis", "weyl", "--out", str(out)) == 0
         assert len(calls) == (0 if name == "identity" else 1)
+
+
+class TestNonOrthogonalBasisFile:
+    """A Gell-Mann file with element 1 tilted by 0.25 element 2 (completeness residual 1.08)."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        g = np.array(gellmann_basis(3).elements)
+        g[1] = g[1] + 0.25 * g[2]
+        save_basis(MatrixBasis(3, g), tmp_path / "tilted.json")
+        save_matrix(np.eye(9) / 9, tmp_path / "b.json")
+        save_matrix(np.diag([0.5, 0.3, 0.2]), tmp_path / "a.json")
+        return f"file:{tmp_path / 'tilted.json'}"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["map", "pt", "--input", "b.json"], ["map", "trace", "--input", "a.json"],
+         ["choi", "--map", "transpose"]],
+        ids=["map_pt", "map_trace", "choi_transpose"],
+    )
+    def test_commands_that_read_a_sum_exit_2(self, tmp_path, capsys, spec, argv):
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        code = run(*argv, "--basis", spec, "--out", str(tmp_path / "out.json"))
+        captured = capsys.readouterr()
+        TestCorruptInput._assert_rejected(code, captured.out, captured.err, tmp_path)
+        assert "basis is not orthogonal with the dimension-d normalization" in captured.err
+
+    def test_verify_decompose_and_identity_choi_keep_their_exit_codes(self, tmp_path, capsys, spec):
+        assert run("verify", "--basis", spec, "--report", "machine") == 1
+        out = str(tmp_path / "out.json")
+        assert run("decompose", "--basis", spec, "--input", str(tmp_path / "a.json"), "--out", out) == 0
+        assert run("choi", "--map", "identity", "--basis", spec, "--out", out) == 0

@@ -130,7 +130,7 @@ class TestPartialTrace:
         assert np.allclose(out, oracles.partial_trace_loops(m, party, d), atol=1e-13)
 
     def test_dimension_error(self):
-        with pytest.raises(ValueError, match="expected"):
+        with pytest.raises(ValueError, match="local dimension 2 must be 4x4"):
             partial_trace(np.eye(5), 1, 2)
         with pytest.raises(ValueError, match="party"):
             partial_trace(np.eye(4), 3, 2)

@@ -189,7 +189,7 @@ class TestPartialTransposeMap:
 
     @pytest.mark.parametrize("party", [1, 2])
     def test_wrong_size_rejected(self, party):
-        with pytest.raises(ValueError, match="expected a 9x9"):
+        with pytest.raises(ValueError, match="local dimension 3 must be 9x9"):
             partial_transpose_map(np.eye(4), party, gellmann_basis(3))
 
 
@@ -216,7 +216,7 @@ class TestReshuffleMap:
         assert np.linalg.norm(out - reshuffle(m, d)) <= tolerance(d)
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError, match="expected a 4x4"):
+        with pytest.raises(ValueError, match="local dimension 2 must be 4x4"):
             reshuffle_map(np.eye(9), weyl_basis(2))
 
 
@@ -328,6 +328,11 @@ class TestSuperoperators:
             superop_from_action(lambda g: g[:2, :2], gellmann_basis(3))
         with pytest.raises(ValueError, match=r"must be 4x4, got \(9, 9\)"):
             Superoperator(2, np.eye(9))
+
+    def test_nested_lists_are_held_as_a_complex_array(self):
+        superop = Superoperator(2, np.eye(4).tolist())
+        assert superop.matrix.dtype == complex and superop.matrix.shape == (4, 4)
+        assert np.array_equal(superop.apply(np.eye(2).tolist()), np.eye(2))
 
     @pytest.mark.parametrize(
         "image, shape",
@@ -716,3 +721,30 @@ class TestOrthogonalityCheckWithoutReport:
         for which, pair in [("target", (skewed, weyl)), ("source", (weyl, skewed))]:
             with pytest.raises(ValueError, match=rf"^{which} basis is not orthogonal.*residual"):
                 change_of_basis(*pair)
+
+
+class TestNonOrthogonalBasisRefused:
+    """The maps that read a basis sum refuse a basis that fails validation; the others do not."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sum_reading_maps_raise_the_transforms_wording(self, d):
+        skewed = MatrixBasis(d, weyl_basis(d).elements * np.linspace(1, 2, d * d)[:, None, None])
+        a, b = np.eye(d), np.eye(d * d)
+        calls = [
+            lambda: trace_map(a, skewed),
+            lambda: transpose_map(a, skewed),
+            lambda: identity_map(a, skewed),
+            lambda: partial_transpose_map(b, 2, skewed),
+            lambda: reshuffle_map(b, skewed),
+            lambda: state_inversion(a, skewed),
+        ]
+        pattern = (
+            r"^basis is not orthogonal with the dimension-d normalization "
+            r"\(completeness residual \d\.\d{3}e[+-]\d+\)$"
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=pattern):
+                call()
+        # neither reads a sum, so neither checks one
+        assert superop_from_action(lambda g: g, skewed).matrix.shape == (d * d, d * d)
+        assert bloch_decompose(a, skewed).coeffs.shape == (d * d,)

@@ -1,8 +1,12 @@
-"""Tests for the public name table of the package and the README's module table."""
+"""Tests for the public name table of the package, the README's module table, and the records."""
 
+import copy
 import pkgutil
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import hsbasis
 from hsbasis import bases, identities, linalg, maps, operators, report, transforms
@@ -41,3 +45,32 @@ def test_readme_has_one_short_contract_row_per_module():
     modules = {m.name for m in pkgutil.iter_modules(hsbasis.__path__) if not m.name.startswith("_")}
     assert set(rows) == modules
     assert {name: len(row) for name, row in rows.items() if len(row) > 320} == {}
+
+
+RECORDS = ("MatrixBasis", "BasisChange", "BlockStructure", "BlochVector", "Superoperator", "ChoiState")
+
+
+@pytest.fixture(scope="module")
+def records():
+    """Two distinct instances of each record that holds an array, all at d = 2."""
+    named = (hsbasis.gellmann_basis(2), hsbasis.weyl_basis(2))
+    changes = [hsbasis.to_standard(b) for b in named]
+    splits = [hsbasis.split_diag_offdiag(b) for b in named]
+    superops = [hsbasis.superop_from_action(lambda g: g, named[0]), hsbasis.Superoperator(2, np.eye(4))]
+    return {
+        "MatrixBasis": named,
+        "BasisChange": changes,
+        "BlockStructure": [hsbasis.block_structure(u, s) for u, s in zip(changes, splits)],
+        "BlochVector": [hsbasis.bloch_decompose(np.diag(v), named[0]) for v in ([1, 1], [1, -1])],
+        "Superoperator": superops,
+        "ChoiState": [hsbasis.choi_state(s, named[0]) for s in superops],
+    }
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_holding_arrays_compare_and_hash_by_identity(records, name):
+    record, other = records[name]
+    assert type(record).__name__ == name and type(other) is type(record)
+    assert record in [other, record]
+    assert {record: 1}[record] == 1
+    assert record != copy.copy(record)

@@ -188,6 +188,14 @@ class TestBlockStructure:
         with pytest.raises(ValueError, match=r"^coefficient matrix for d=2 must be 4x4, got \(3, 3\)$"):
             BasisChange(2, np.eye(3))
 
+    def test_rotation_and_basis_change_word_one_wrong_shape_alike(self):
+        messages = []
+        for build in (lambda u: rotated_basis(gellmann_basis(2), u), lambda u: BasisChange(2, u)):
+            with pytest.raises(ValueError) as caught:
+                build(np.eye(3))
+            messages.append(str(caught.value))
+        assert messages == ["coefficient matrix for d=2 must be 4x4, got (3, 3)"] * 2
+
     def test_nan_leakage_fails(self):
         b = gellmann_basis(3)
         split = split_diag_offdiag(b)
