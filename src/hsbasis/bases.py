@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .linalg import _check_shape, _deviation, _phi_grid, combine, kron_sum, partial_transpose, tolerance
+from .linalg import _check_shape, _deviation, _frozen, _phi_grid, combine, kron_sum, partial_transpose, tolerance
 from .report import IdentityCheck, IdentityReport
 
 __all__ = [
@@ -38,10 +38,11 @@ __all__ = [
 class MatrixBasis:
     """Ordered basis of d^2 matrices; element (j, k) sits at flat index j*d + k.
 
-    The element stack is made read-only on construction, so instances can
-    be shared freely. Validation, the maps, the expansions and the
-    catalogue read one basis sum, ``bell_sum`` = sum g (x) g^*, built on
-    first use in O(d^6), and its partial transpose ``swap_sum`` =
+    The element stack is read-only (:func:`hsbasis.linalg._frozen`: a
+    stack the library has just built is adopted, any other copied), so
+    instances can be shared freely. Validation, the maps, the expansions
+    and the catalogue read one basis sum, ``bell_sum`` = sum g (x) g^*,
+    built on first use in O(d^6), and its partial transpose ``swap_sum`` =
     sum g (x) g^dag, an O(d^4) index move; both are kept read-only,
     16 d^4 bytes each, for as long as the basis lives, so a validated or
     rotated basis keeps the first and the completeness residual read off it.
@@ -54,19 +55,17 @@ class MatrixBasis:
     def __post_init__(self) -> None:
         d = check_dim(self.d)
         object.__setattr__(self, "d", d)
-        el = _check_shape(np.array(self.elements, dtype=complex), (d * d, d, d), "basis elements")
-        el.setflags(write=False)
-        object.__setattr__(self, "elements", el)
+        object.__setattr__(self, "elements", _frozen(self.elements, (d * d, d, d), "basis elements"))
 
     @cached_property
     def bell_sum(self) -> np.ndarray:
         """sum g (x) g^* = d^2 |Phi+><Phi+|; also the superoperator sandwich_sum(g, g^dag)."""
-        return _read_only(kron_sum(self.elements, self.elements.conj()))
+        return _frozen(kron_sum(self.elements, self.elements.conj()), built=True)
 
     @cached_property
     def swap_sum(self) -> np.ndarray:
         """sum g (x) g^dag = d SWAP, bell_sum transposed on party 2; also sandwich_sum(g, g^*)."""
-        return _read_only(partial_transpose(self.bell_sum, 2, self.d))
+        return _frozen(partial_transpose(self.bell_sum, 2, self.d), built=True)
 
     @cached_property
     def completeness_residual(self) -> float:
@@ -81,11 +80,6 @@ class MatrixBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -119,9 +113,15 @@ def _shared(build):
     one shared read-only basis per (kind, d) from one least-recently-used
     cache, so its elements, sums and residual are built once per process;
     at most _NAMED_CACHE_SIZE bases (three kinds at four dimensions) of up
-    to three 16 d^4-byte arrays each stay alive. The dimension is checked
-    before the lookup, so ``4.0`` or ``True`` still raises instead of
-    hashing equal to a cached 4 or 1, and the key always holds a Python int.
+    to three 16 d^4-byte arrays each stay alive. Worst case: 12 bases x 3
+    arrays x 16 d^4 bytes, about 0.5 GB when the three kinds loop over
+    d = 29...32. The cache is bounded by entries only: lru_cache cannot
+    weigh its entries, a byte bound would need a cache of its own, and a
+    basis its caller keeps holds its arrays whether cached or not; a
+    process that sweeps large d can call ``_named_basis.cache_clear()``.
+    The dimension is checked before the lookup, so ``4.0`` or ``True``
+    still raises instead of hashing equal to a cached 4 or 1, and the key
+    always holds a Python int.
     """
 
     @wraps(build)
@@ -137,7 +137,7 @@ def standard_basis(d: int) -> MatrixBasis:
     el = np.zeros((d * d, d, d), dtype=complex)
     n = np.arange(d * d)
     el[n, n // d, n % d] = np.sqrt(d)
-    return MatrixBasis(d, el, "standard")
+    return MatrixBasis(d, _frozen(el, built=True), "standard")
 
 
 @lru_cache(maxsize=_NAMED_CACHE_SIZE, typed=True)
@@ -154,7 +154,7 @@ def gellmann_y_elements(d: int) -> np.ndarray:
     y = np.zeros((len(k), d, d), dtype=complex)
     y[n, k, l] = -1j * half
     y[n, l, k] = 1j * half
-    return _read_only(y)
+    return _frozen(y, built=True)
 
 
 @_shared
@@ -177,7 +177,7 @@ def gellmann_basis(d: int) -> MatrixBasis:
     l, j = np.arange(1, d)[:, None], np.arange(d)
     scale = np.sqrt(d / (l * (l + 1.0)))
     el[l * d + l, j, j] = np.where(j < l, scale, np.where(j == l, -l * scale, 0.0))
-    return MatrixBasis(d, el, "gellmann")
+    return MatrixBasis(d, _frozen(el, built=True), "gellmann")
 
 
 @_shared
@@ -196,7 +196,7 @@ def weyl_basis(d: int) -> MatrixBasis:
     el = np.zeros((d, d, d, d), dtype=complex)
     # Z^j X^k |col> = omega^(j*row) |row>, then the -jk/2 phase.
     el[j, k, row, col] = np.exp(1j * (np.pi * (2 * j * row - j * k) / d))
-    return MatrixBasis(d, el.reshape(d * d, d, d), "weyl")
+    return MatrixBasis(d, _frozen(el.reshape(d * d, d, d), built=True), "weyl")
 
 
 NAMED_BASES = {
@@ -250,7 +250,7 @@ def rotated_basis(basis: MatrixBasis, u) -> MatrixBasis:
     """
     n = basis.d * basis.d
     coeffs = _check_shape(getattr(u, "coeffs", u), (n, n), f"coefficient matrix for d={basis.d}")
-    rotated = MatrixBasis(basis.d, combine(coeffs, basis.elements), "custom")
+    rotated = MatrixBasis(basis.d, _frozen(combine(coeffs, basis.elements), built=True))
     require_orthogonal(rotated, "coefficient matrix is not unitary, or the basis not orthogonal")
     return rotated
 
@@ -276,8 +276,9 @@ def random_unitary(n: int, rng=None) -> np.ndarray:
     rephased to be positive, which makes the distribution exactly Haar.
     """
     rng = np.random.default_rng(rng)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
+    z = np.empty((n, n), dtype=complex)
+    z.real, z.imag = rng.standard_normal((2, n, n))
+    q, r = np.linalg.qr(z * (1 / np.sqrt(2)))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bases import NAMED_BASES, MatrixBasis
+from .linalg import _frozen
 
 __all__ = [
     "FormatError",
@@ -218,7 +219,7 @@ def basis_from_dict(obj) -> MatrixBasis:
                 f'field "elements"[{i}] must be a {d}x{d} matrix, got {m.shape[0]}x{m.shape[1]}'
             )
         stack[i] = m
-    return MatrixBasis(d, stack, kind if kind in NAMED_BASES else "custom")
+    return MatrixBasis(d, _frozen(stack, built=True), kind if kind in NAMED_BASES else "custom")
 
 
 def save_basis(basis: MatrixBasis, path) -> None:

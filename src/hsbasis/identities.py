@@ -50,9 +50,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bases import MatrixBasis, _read_only
+from .bases import MatrixBasis
 from .linalg import (
     _deviation,
+    _frozen,
     _phi_grid,
     _swap_support,
     apply_superop,
@@ -78,11 +79,8 @@ _SEEDED_CACHE_SIZE = 16
 def _seeded_pair(seed: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A, B: d x d complex Gaussian matrices from one generator on ``seed``, drawn once per
     (seed, d) per process and returned read-only to every later run at that (seed, d)."""
-    rng = np.random.default_rng(seed)
-    shape = (d, d)
-    return tuple(
-        _read_only(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in "AB"
-    )
+    z = np.random.default_rng(seed).standard_normal((2, 2, d, d))  # re A, im A, re B, im B
+    return tuple(_frozen(z[:, 0] + 1j * z[:, 1], built=True))
 
 
 class _Operands:

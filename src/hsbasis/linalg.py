@@ -3,7 +3,7 @@
 Operators are plain numpy arrays of complex doubles in C (row-major)
 order. A two-party operator on H_d (x) H_d is a d^2 x d^2 matrix whose
 composite row index (j, k) is flattened as j*d + k, and identically for
-columns. All functions are pure: inputs are never mutated.
+columns. All public functions are pure: inputs are never mutated.
 
 The superoperator of a map L on d x d operators is the d^2 x d^2
 matrix on row-major vectorized operators, column r being vec(L(E_r))
@@ -20,7 +20,10 @@ orthogonal basis {g} with Tr(g^dag g) = d is therefore
 A = combine(hs_gram(g, A), g) / d. Scaling rule: an array is divided by a
 real s as ``x * (1 / s)``, which is what numpy's complex division (Smith's
 method) does for a real s, so every finite nonzero entry keeps its bits, at
-a quarter of the cost.
+a quarter of the cost. Ownership rule: every array a record of the package
+holds, or a cache of it serves, is read-only and written through by no one
+(:func:`_frozen`); a record adopts an array the library has just built and
+copies any other.
 """
 
 from __future__ import annotations
@@ -118,12 +121,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product (A, B)_HS = Tr(A^dag B), the one-matrix :func:`hs_gram`."""
-    if np.shape(a) != np.shape(b) or np.ndim(a) != 2:
-        raise ValueError(
-            "shape mismatch in Hilbert-Schmidt inner product: expected two matrices of one "
-            f"shape, got {np.shape(a)} and {np.shape(b)}"
-        )
-    return complex(hs_gram(a, b))
+    shape = np.shape(a) if np.ndim(a) == 2 else ("m", "n")  # a non-matrix fails "must be mxn"
+    return complex(hs_gram(*(_check_shape(x, shape, "each of two matrices") for x in (a, b))))
 
 
 def _check_shape(a, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -132,6 +131,23 @@ def _check_shape(a, shape: tuple[int, ...], what: str) -> np.ndarray:
     if a.shape != shape:
         raise ValueError(f"{what} must be {'x'.join(map(str, shape))}, got {a.shape}")
     return a
+
+
+def _frozen(a, shape=None, what: str = "", built: bool = False) -> np.ndarray:
+    """``a`` as a read-only complex array no caller can write through, shape-checked as by
+    :func:`_check_shape` if ``shape`` is given. A ``built`` array, one the library has just made,
+    is frozen in place with the arrays that own its memory. Any other is kept if it and they are
+    read-only already, as a built one handed on is, and else copied once and frozen: a read-only
+    view of writable memory, such as np.broadcast_to's, is copied."""
+    a = np.asarray(a, dtype=complex) if shape is None else _check_shape(a, shape, what)
+    chain = [a]
+    while isinstance(chain[-1].base, np.ndarray):
+        chain.append(chain[-1].base)
+    if not built and (chain[-1].base is not None or any(x.flags.writeable for x in chain)):
+        chain = [a.copy()]
+    for x in chain:
+        x.setflags(write=False)
+    return chain[0]
 
 
 def _as_two_party(m: np.ndarray, d: int) -> np.ndarray:
@@ -174,10 +190,8 @@ def reshuffle(m: np.ndarray, d: int) -> np.ndarray:
 
 def vectorize(a: np.ndarray) -> np.ndarray:
     """Row-major stacking: vec(|j><k|) is the unit vector at index j*d + k."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"vectorize expects a square matrix, got shape {a.shape}")
-    return a.flatten()
+    d = math.isqrt(np.size(a))
+    return _check_shape(a, (d, d), "square matrix to vectorize").flatten()
 
 
 def devectorize(v: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .bases import _NOT_ORTHOGONAL, MatrixBasis, gellmann_y_elements, require_or
 from .linalg import (
     _as_two_party,
     _check_shape,
+    _frozen,
     _party_axes,
     _rows,
     apply_superop,
@@ -68,11 +69,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
-    """Coefficients b_jk = Tr(g_jk^dag B) of an operator in a given basis."""
+    """Coefficients b_jk = Tr(g_jk^dag B) of an operator in a given basis.
+
+    Like every record here it holds its array read-only
+    (:func:`hsbasis.linalg._frozen`): an array the library has just built
+    is adopted, any other copied, so no input shares it.
+    """
 
     d: int
     kind: str
     coeffs: np.ndarray  # (d*d,), complex, flat order j*d + k
+
+    def __post_init__(self) -> None:
+        n, what = self.d * self.d, f"Bloch coefficients for d={self.d}"
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (n,), what))
 
     @property
     def squared_length(self) -> float:
@@ -88,8 +98,8 @@ class Superoperator:
     matrix: np.ndarray  # (d*d, d*d), complex
 
     def __post_init__(self) -> None:
-        n, what = self.d * self.d, f"superoperator for d={self.d}"
-        object.__setattr__(self, "matrix", _check_shape(self.matrix, (n, n), what))
+        n, what = self.d * self.d, f"{type(self).__name__} matrix for d={self.d}"
+        object.__setattr__(self, "matrix", _frozen(self.matrix, (n, n), what))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         return apply_superop(self.matrix, _check_shape(a, (self.d, self.d), "operator"))
@@ -102,11 +112,13 @@ class ChoiState:
     d: int
     matrix: np.ndarray  # (d*d, d*d), complex
 
+    __post_init__ = Superoperator.__post_init__  # the same d^2 x d^2 check, naming ChoiState
+
 
 def bloch_decompose(a: np.ndarray, basis: MatrixBasis) -> BlochVector:
     """Bloch coefficients b_jk = Tr(g_jk^dag A)."""
     a = _check_shape(a, (basis.d, basis.d), "operator")
-    return BlochVector(basis.d, basis.kind, hs_gram(basis.elements, a))
+    return BlochVector(basis.d, basis.kind, _frozen(hs_gram(basis.elements, a), built=True))
 
 
 def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
@@ -180,11 +192,15 @@ def superop_from_action(
     ``action`` is called once per element, in order; each image must be d x d (ValueError naming
     the element) and is written into one stack. Column r is vec(L(E_r)) for the unit matrix E_r.
     The expansion assumes an orthogonal basis; it reads no basis sum, so none is checked.
+    The conjugated stack g^* is taken on every call, not kept on the basis: kept, it would
+    hold 16 d^4 more bytes per basis for as long as the basis lives, against a few
+    microseconds per call at d = 8.
     """
     images = np.empty(basis.elements.shape, dtype=complex)
     for n, g in enumerate(basis.elements):
         images[n] = _check_shape(action(g), (basis.d, basis.d), f"the image of element {n}")
-    return Superoperator(basis.d, basis_sum(images, basis.elements.conj()) * (1 / basis.d))
+    s = basis_sum(images, basis.elements.conj()) * (1 / basis.d)
+    return Superoperator(basis.d, _frozen(s, built=True))
 
 
 def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
@@ -199,7 +215,7 @@ def choi_state(superop: Superoperator, basis: MatrixBasis) -> ChoiState:
         raise ValueError(
             f"superoperator dimension {superop.d} does not match basis dimension {d}"
         )
-    return ChoiState(d, reshuffle(superop.matrix, d) * (1 / d))
+    return ChoiState(d, _frozen(reshuffle(superop.matrix, d) * (1 / d), built=True))
 
 
 def apply_via_choi(choi: ChoiState, a: np.ndarray) -> np.ndarray:
@@ -260,10 +276,9 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     O(d^6) and applied to factor 2, then, scaled by 4/d^2, to factor 1,
     each in O(d^6).
     """
-    b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"two-party operator must be square, got {b.shape}")
-    d = _local_dim(b.shape[0], "two-party operator size")
+    n = math.isqrt(np.size(b))
+    b = _check_shape(b, (n, n), "two-party operator")
+    d = _local_dim(n, "two-party operator size")
     _check_hermitian(b, tolerance(d * d), "state-inversion input")
     ys = gellmann_y_elements(d)
     s = sandwich_sum(ys, ys)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import _NOT_ORTHOGONAL, BasisSplit, MatrixBasis, require_orthogonal
-from .linalg import _check_shape, hs_gram, tolerance
+from .linalg import _frozen, hs_gram, tolerance
 
 __all__ = [
     "BasisChange",
@@ -34,18 +34,16 @@ class BasisChange:
     """Coefficient matrix of a basis transformation.
 
     Row index (j, k) enumerates the target basis and column index (l, m)
-    the source basis, both in flat order j*d + k. The matrix is unitary.
+    the source basis, both in flat order j*d + k. The matrix is unitary
+    and read-only, as every array of the records below.
     """
 
     d: int
     coeffs: np.ndarray  # (d*d, d*d), complex
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coeffs, dtype=complex)
-        n = self.d * self.d
-        _check_shape(coeffs, (n, n), f"coefficient matrix for d={self.d}")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        n, what = self.d * self.d, f"coefficient matrix for d={self.d}"
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (n, n), what))
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +52,11 @@ class BlockStructure:
 
     diagonal: np.ndarray  # (d, d)
     offdiagonal: np.ndarray  # (d(d-1), d(d-1))
+
+    def __post_init__(self) -> None:
+        d = len(np.atleast_1d(self.diagonal))
+        for name, n in (("diagonal", d), ("offdiagonal", d * (d - 1))):
+            object.__setattr__(self, name, _frozen(getattr(self, name), (n, n), f"{name} block"))
 
 
 def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:
@@ -68,7 +71,8 @@ def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:
         )
     require_orthogonal(target, f"target basis {_NOT_ORTHOGONAL}")
     require_orthogonal(source, f"source basis {_NOT_ORTHOGONAL}")
-    return BasisChange(target.d, hs_gram(source.elements, target.elements).T * (1 / target.d))
+    coeffs = hs_gram(source.elements, target.elements).T * (1 / target.d)
+    return BasisChange(target.d, _frozen(coeffs, built=True))
 
 
 def to_standard(basis: MatrixBasis) -> BasisChange:
@@ -79,7 +83,7 @@ def to_standard(basis: MatrixBasis) -> BasisChange:
     require_orthogonal(basis, f"input basis {_NOT_ORTHOGONAL}")
     n = basis.d * basis.d
     coeffs = basis.elements.reshape(n, n) * (1 / np.sqrt(basis.d))
-    return BasisChange(basis.d, coeffs)
+    return BasisChange(basis.d, _frozen(coeffs, built=True))
 
 
 def from_standard(basis: MatrixBasis) -> BasisChange:
@@ -87,8 +91,7 @@ def from_standard(basis: MatrixBasis) -> BasisChange:
 
     As a matrix this is exactly the conjugate transpose of :func:`to_standard`.
     """
-    u = to_standard(basis)
-    return BasisChange(basis.d, u.coeffs.conj().T)
+    return BasisChange(basis.d, _frozen(to_standard(basis).coeffs.conj().T, built=True))
 
 
 def block_structure(u: BasisChange, split: BasisSplit) -> BlockStructure | None:
@@ -110,6 +113,6 @@ def block_structure(u: BasisChange, split: BasisSplit) -> BlockStructure | None:
     if not np.abs(np.concatenate(cross, axis=None)).max(initial=0.0) <= tolerance(d):
         return None
     return BlockStructure(
-        diagonal=c[np.ix_(diag_rows, diag_cols)].copy(),
-        offdiagonal=c[np.ix_(off_rows, off_cols)].copy(),
+        diagonal=_frozen(c[np.ix_(diag_rows, diag_cols)], built=True),
+        offdiagonal=_frozen(c[np.ix_(off_rows, off_cols)], built=True),
     )

@@ -314,3 +314,13 @@ def choi_matrix_divided(superop_matrix, d):
 
 def change_of_basis_divided(target, source):
     return hs_gram(source.elements, target.elements).T / target.d
+
+
+def random_unitary_divided(n, rng):
+    # Haar unitary as the package drew it before it scaled by the reciprocal: the Gaussian
+    # draw divided by sqrt(2), from the same two n x n draws in the same order
+    rng = np.random.default_rng(rng)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))

@@ -362,6 +362,13 @@ class TestMatrixBasisStructure:
         u = random_unitary(9, np.random.default_rng(1))
         assert np.allclose(u.conj().T @ u, np.eye(9), atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_basis_bit_equal_to_the_divided_draw(self, d):
+        # the draw is scaled by 1/sqrt(2), not divided by sqrt(2): the same bits
+        for seed in (0, 1, 17):
+            want = rotated_basis(standard_basis(d), oracles.random_unitary_divided(d * d, seed))
+            assert random_basis(d, seed).elements.tobytes() == want.elements.tobytes()
+
 
 class TestLoopFreeConstructions:
     """The index-array builders reproduce the element-by-element loops bit for bit."""
