@@ -4,27 +4,28 @@ Every entry evaluates both sides of one equality for a concrete basis
 {g_jk} (normalized to Tr(g^dag g) = d) and reports the Frobenius-norm
 residual, or the absolute difference for scalar equalities. The
 catalogue is closed: :data:`_CATALOGUE` is its one table, an ordered
-tuple of records, each holding an id, the formula, the residual and the
-tolerance model (:func:`~hsbasis.linalg.tolerance` unless the entry is
-a scalar sum). :class:`IdentityId` is built from the records' ids, so
-its members, their values and the default run order are the table's.
+tuple of records, each holding an id, the formula, the residual (or the
+spec it is compiled from, below) and the tolerance model
+(:func:`~hsbasis.linalg.tolerance` unless the entry is a scalar sum).
+:class:`IdentityId` is built from the records' ids, so its members,
+their values and the default run order are the table's.
 
 Every basis-sum entry has one g and one g^* per summation index, so it
 is a contraction of the completeness tensor
 T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l] (= d delta_ik delta_jl for an
 orthogonal basis) with itself: T = reshuffle(K), an O(d^4) index move of
-K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`). Indices
-a, b are free, the others summed:
-
-- O(d^3) partial traces: sum g g^dag = T[a,i,b,i], sum g g^* = T[a,i,i,b],
-  sum Tr(g) g^dag = T[i,i,b,a], sum Tr(g) g^* = T[i,i,a,b] and
-  sum |Tr g|^2 = T[i,i,j,j];
-- O(d^5), one d x d^3 by d^3 x d product each (:func:`_chain`):
-  sum g_m^dag g_n g_m g_n^dag = T[j,k,i,a] T[i,j,b,k],
-  sum g_m g_n g_m^* g_n^* = T[a,i,j,k] T[i,j,k,b],
-  sum g_m g_n^* g_m^dag g_n = T[a,i,k,j] T[k,b,i,j] and
-  sum Tr(g_m g_n) (g_m g_n)^* = T[i,j,a,c] T[j,i,c,b];
-- O(d^4): sum |Tr(g_m g_n)|^2 = T[i,j,k,l] T[j,i,l,k].
+K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`). Ten
+entries state theirs once, as a ``spec`` in ``np.einsum`` notation over
+T with free indices a, b (sum g g^dag = T[a,i,b,i] is ``"aibi->ab"``),
+and the power of d on their right side (d**power times 1, or the number
+d**power). :func:`_contraction` compiles each spec at import into plain
+numpy calls, never einsum, whose summation order would move the last
+bits. One factor is traced over each repeated index pair in turn,
+O(d^3), and transposed if its free indices come out as (b, a). Two
+factors are transposed to (free, summed) and (summed, free), the summed
+indices in ``sorted()`` order (never a set's, which varies with the hash
+seed), then multiplied as one d x d^3 by d^3 x d product, O(d^5), or,
+with no free index, as one flat dot, O(d^4).
 
 The two expansions read K and :attr:`~hsbasis.bases.MatrixBasis.swap_sum`.
 The three two-party four-factor sums are d^2 x d^2 products of these two
@@ -88,9 +89,9 @@ class _Operands:
 
     The basis sums are the basis's own and A, B are :func:`_seeded_pair`'s.
     The other operands are computed on first use, so a run builds only
-    those its entries need, and each at most once: T, its partial trace
-    T[i,i,a,b] and reshuffle(SWAP), for which SWAP is built once per run
-    and not kept.
+    those its entries need, and each at most once: T, its partial traces
+    (:attr:`traces`, keyed by the two axes) and reshuffle(SWAP), for which
+    SWAP is built once per run and not kept.
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
@@ -100,16 +101,19 @@ class _Operands:
         self.basis = basis
         self.d = basis.d
         self.seed = int(seed)
+        self.traces: dict[tuple[int, int], np.ndarray] = {}
 
     @cached_property
     def t(self) -> np.ndarray:
         """T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l], the basis's Bell sum reshuffled, O(d^4)."""
         return reshuffle(self.basis.bell_sum, self.d).reshape((self.d,) * 4)
 
-    @cached_property
-    def trace_weighted(self) -> np.ndarray:
-        """sum Tr(g) g^* = T[i,i,a,b], O(d^3); its transpose is sum Tr(g) g^dag."""
-        return np.trace(self.t, axis1=0, axis2=1)
+    def trace(self, axes: tuple[int, int]) -> np.ndarray:
+        """T traced over two of its axes, O(d^3), at most once per run: (0, 1) is read by
+        three entries."""
+        if axes not in self.traces:
+            self.traces[axes] = np.trace(self.t, axis1=axes[0], axis2=axes[1])
+        return self.traces[axes]
 
     @cached_property
     def swap_reshuffled(self) -> np.ndarray:
@@ -127,11 +131,36 @@ class _Operands:
         return apply_superop(self.swap_reshuffled, b.T)
 
 
-def _chain(t: np.ndarray, left, right) -> np.ndarray:
-    """C[a,b] = sum_pqr L[a,p,q,r] R[p,q,r,b] for L, R = t.transpose(left), t.transpose(right),
-    as one d x d^3 by d^3 x d matrix product, O(d^5)."""
-    d = len(t)
-    return t.transpose(left).reshape(d, -1) @ t.transpose(right).reshape(-1, d)
+def _contraction(spec: str) -> Callable[[_Operands], np.ndarray]:
+    """The left side a spec over T names, as the numpy calls of the module docstring."""
+    inputs, free = spec.split("->")
+    factors = inputs.split(",")
+    if len(factors) == 2:
+        summed = sorted(set(inputs) - set(free) - {","})
+        first, second = ([c for c in f if c in free] for f in factors)
+        left = tuple(factors[0].index(c) for c in first + summed)
+        right = tuple(factors[1].index(c) for c in summed + second)
+
+        def contract(s: _Operands) -> np.ndarray:
+            x = s.t.transpose(left).reshape((s.d,) * len(first) + (-1,))
+            return x @ s.t.transpose(right).reshape((-1,) + (s.d,) * len(second))
+
+        return contract
+    rest, pairs = inputs, []
+    for c in inputs:
+        if rest.count(c) == 2:
+            pairs.append((rest.index(c), rest.rindex(c)))
+            rest = rest.replace(c, "")
+    axes, *more = pairs
+    flip = rest != free
+
+    def trace(s: _Operands) -> np.ndarray:
+        x = s.trace(axes)
+        for axis1, axis2 in more:
+            x = np.trace(x, axis1=axis1, axis2=axis2)
+        return x.T if flip else x
+
+    return trace
 
 
 def _trswap_choi(s: _Operands) -> float:
@@ -151,12 +180,23 @@ def _purity_link(s: _Operands) -> float:
 @dataclass(frozen=True)
 class _Identity:
     """One catalogue entry: its id, its formula, its residual on a run's operands,
-    and the tolerance model the residual is judged against at dimension d."""
+    and the tolerance model the residual is judged against at dimension d.
+
+    A T-contraction states ``spec`` and ``power`` (module docstring) and no
+    residual: its residual is then the deviation of the compiled spec from
+    d**power. A residual given explicitly wins over the spec."""
 
     id: str
     formula: str
-    residual: Callable[[_Operands], float]
+    spec: str | None = None
+    power: int = 0
     tolerance: Callable[[int], float] = tolerance
+    residual: Callable[[_Operands], float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.residual is None:
+            left, power = _contraction(self.spec), self.power
+            object.__setattr__(self, "residual", lambda s: _deviation(left(s), s.d**power))
 
 
 # the catalogue in run order; IdentityId is built from it
@@ -165,90 +205,52 @@ _CATALOGUE = (
     _Identity(
         "swap_expansion",
         "SWAP == (1/d) sum g (x) g^dag",
-        lambda s: _deviation(swap_expansion(s.basis), 1, _swap_support(s.d)),
+        residual=lambda s: _deviation(swap_expansion(s.basis), 1, _swap_support(s.d)),
     ),
-    _Identity(
-        "gg_dagger_sum",
-        "sum g g^dag == d^2 1",
-        lambda s: _deviation(np.trace(s.t, axis1=1, axis2=3), s.d**2),
-    ),
-    _Identity(
-        "trace_weighted_sum",
-        "sum Tr(g) g^dag == d 1",
-        lambda s: _deviation(s.trace_weighted.T, s.d),
-    ),
-    _Identity(
-        "trace_norm_sum",
-        "sum |Tr g|^2 == d^2",
-        lambda s: _deviation(np.trace(s.trace_weighted), s.d**2),
-        scalar_tolerance,
-    ),
+    _Identity("gg_dagger_sum", "sum g g^dag == d^2 1", "aibi->ab", 2),
+    _Identity("trace_weighted_sum", "sum Tr(g) g^dag == d 1", "iiba->ab", 1),
+    _Identity("trace_norm_sum", "sum |Tr g|^2 == d^2", "iijj->", 2, scalar_tolerance),
     _Identity(
         "bell_expansion",
         "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        lambda s: _deviation(bell_expansion(s.basis), 1 / s.d, _phi_grid(s.d)),
+        residual=lambda s: _deviation(bell_expansion(s.basis), 1 / s.d, _phi_grid(s.d)),
     ),
-    _Identity(
-        "gg_conj_sum",
-        "sum g g^* == d 1",
-        lambda s: _deviation(np.trace(s.t, axis1=1, axis2=2), s.d),
-    ),
-    _Identity(
-        "trace_weighted_conj",
-        "sum Tr(g) g^* == d 1",
-        lambda s: _deviation(s.trace_weighted, s.d),
-    ),
+    _Identity("gg_conj_sum", "sum g g^* == d 1", "aiib->ab", 1),
+    _Identity("trace_weighted_conj", "sum Tr(g) g^* == d 1", "iiab->ab", 1),
     # four-factor sums over pairs (a,b), (j,k)
     _Identity(
         "identity_4op_tensor",
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        lambda s: _deviation(dagger(s.basis.swap_sum) @ s.basis.swap_sum * (1 / s.d**2), 1),
+        residual=lambda s: _deviation(
+            dagger(s.basis.swap_sum) @ s.basis.swap_sum * (1 / s.d**2), 1
+        ),
     ),
-    _Identity(
-        "fourops_1",
-        "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1",
-        lambda s: _deviation(_chain(s.t, (3, 2, 0, 1), (0, 1, 3, 2)), s.d**2),
-    ),
-    _Identity(
-        "fourops_2",
-        "sum g_ab g_jk g_ab^* g_jk^* == d^3 1",
-        lambda s: _deviation(_chain(s.t, (0, 1, 2, 3), (0, 1, 2, 3)), s.d**3),
-    ),
-    _Identity(
-        "fourops_3",
-        "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1",
-        lambda s: _deviation(_chain(s.t, (0, 1, 2, 3), (2, 0, 3, 1)), s.d**2),
-    ),
+    _Identity("fourops_1", "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1", "jkia,ijbk->ab", 2),
+    _Identity("fourops_2", "sum g_ab g_jk g_ab^* g_jk^* == d^3 1", "aijk,ijkb->ab", 3),
+    _Identity("fourops_3", "sum g_ab g_jk^* g_ab^dag g_jk == d^2 1", "aijk,jbik->ab", 2),
     _Identity(
         "bellbell_tensor",
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        lambda s: _deviation(s.basis.bell_sum @ s.basis.bell_sum * (1 / s.d**4), 1 / s.d, _phi_grid(s.d)),
+        residual=lambda s: _deviation(
+            s.basis.bell_sum @ s.basis.bell_sum * (1 / s.d**4), 1 / s.d, _phi_grid(s.d)
+        ),
     ),
     _Identity(
         "swapbell_tensor",
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        lambda s: _deviation(
+        residual=lambda s: _deviation(
             s.basis.swap_sum @ s.basis.bell_sum.conj() * (1 / s.d**3), 1 / s.d, _phi_grid(s.d)
         ),
     ),
-    _Identity(
-        "tr1_bellbell",
-        "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1",
-        lambda s: _deviation(_chain(s.t, (2, 0, 1, 3), (1, 0, 2, 3)), s.d**3),
-    ),
-    _Identity(
-        "tr12_bellbell",
-        "sum |Tr(g_ab g_jk)|^2 == d^4",
-        lambda s: _deviation(s.t.ravel() @ s.t.transpose(1, 0, 3, 2).ravel(), float(s.d) ** 4),
-        scalar_tolerance,
-    ),
+    _Identity("tr1_bellbell", "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1", "ijak,jikb->ab", 3),
+    _Identity("tr12_bellbell", "sum |Tr(g_ab g_jk)|^2 == d^4", "ijkl,jilk->", 4, scalar_tolerance),
     # seeded random-operator checks, on the run's one draw of A, B
-    _Identity("trswap_choi", "Tr_2(A (x) B SWAP) == A B for random A, B", _trswap_choi),
+    _Identity("trswap_choi", "Tr_2(A (x) B SWAP) == A B for random A, B", residual=_trswap_choi),
     _Identity(
         "purity_link",
         "Tr(B^dag (x) B SWAP) == (1/d) sum |b_jk|^2 == Tr(B^dag B)",
-        _purity_link,
-        scalar_tolerance,
+        tolerance=scalar_tolerance,
+        residual=_purity_link,
     ),
 )
 

@@ -2,9 +2,13 @@
 
 import dataclasses
 import itertools
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,9 +386,17 @@ class TestCompletenessReads:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_reads_match_loops(self, d):
+        # the compiled left side and an einsum of the entry's spec both match the loops,
+        # so each spec states its formula and compiles to it
         basis = _random_elements_basis(d)
-        for identity, want in _completeness_reads_loops(basis.elements).items():
+        reads = _completeness_reads_loops(basis.elements)
+        specs = {e.id: e.spec for e in identities._CATALOGUE if e.spec is not None}
+        assert set(specs) == {i.value for i in reads}
+        t = _completeness_loops(basis.elements)
+        for identity, want in reads.items():
             assert _close(_left_side(identity, basis), want), identity
+            spec = specs[identity.value]
+            assert _close(np.einsum(spec, *[t] * (spec.count(",") + 1)), want), identity
 
 
 def _dense_targets(d, a, b):
@@ -494,6 +506,14 @@ def _random_elements_basis(d):
     return MatrixBasis(d, _random_stack(d * d, d, rng))
 
 
+_HASH_SEED_RUN = """
+from hsbasis.bases import random_basis, random_unitary, rotated_basis, weyl_basis
+from hsbasis.identities import run_catalogue
+print("".join(set("ijkl")))
+for basis in (random_basis(6, 7), rotated_basis(weyl_basis(6), random_unitary(36, 906))):
+    print([repr(c.residual) for c in run_catalogue(basis).checks])
+"""
+
 SHARED_BASES = {
     "standard": standard_basis,
     "gellmann": gellmann_basis,
@@ -587,15 +607,30 @@ class TestSharedOperands:
         assert len(calls["hs_gram"]) == 1  # B's Bloch coefficients, for purity_link
 
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_derived_operands_match_loops_on_a_non_orthogonal_stack(self, d):
+    def test_derived_operands_match_loops_on_a_non_orthogonal_stack(self, monkeypatch, d):
         # random elements obey no orthogonality relation, so a wrong permutation,
         # transpose or conjugate in a derived operand cannot cancel out
-        s = _Operands(_random_elements_basis(d), 0)
+        runs, traced = [], []
+        trace = np.trace
+        monkeypatch.setattr(
+            identities, "_Operands", lambda *a: runs.append(_Operands(*a)) or runs[-1]
+        )
+        monkeypatch.setattr(
+            np, "trace", lambda x, *a, **k: traced.append(np.ndim(x)) or trace(x, *a, **k)
+        )
+        run_catalogue(_random_elements_basis(d))
+        monkeypatch.setattr(np, "trace", trace)
+        (s,) = runs
         g = s.basis.elements
         gc, gd = g.conj(), dagger(g)
         assert s.t.shape == (d, d, d, d)
         assert _close(s.t, _completeness_loops(g))
-        assert _close(s.trace_weighted, sum(np.trace(x) * x.conj() for x in g))
+        # the run's partial traces of T, each taken once: Tr(g) g^*, g g^* and g g^dag
+        assert sorted(s.traces) == [(0, 1), (1, 2), (1, 3)]
+        assert traced.count(4) == 3
+        assert _close(s.traces[0, 1], sum(np.trace(x) * x.conj() for x in g))
+        assert _close(s.traces[1, 2], sum(x @ y for x, y in zip(g, gc)))
+        assert _close(s.traces[1, 3], sum(x @ y for x, y in zip(g, gd)))
         assert np.array_equal(s.swap_reshuffled, linalg.reshuffle(swap_operator(d), d))
         k_swap, k_bell = s.basis.swap_sum, s.basis.bell_sum
         derived = [(k_swap, g, gd), (dagger(k_swap), gd, g), (k_bell.conj(), gc, g)]
@@ -622,7 +657,28 @@ class TestSharedOperands:
         for shared, identity in zip(report.checks, ALL_IDS):
             alone = check_identity(identity, basis, seed=2)
             assert shared.passed == alone.passed, identity
-            assert abs(shared.residual - alone.residual) <= 1e-4 * alone.tolerance, identity
+            assert shared.residual == alone.residual, identity
+
+    def test_residuals_do_not_move_with_the_hash_seed(self):
+        # a summation order taken from a set of index letters would follow the per-process
+        # string hash; on these dense T that moves the last bits of the four-factor chains
+        runs = []
+        for hash_seed in ("1", "3"):  # two seeds that iterate set("ijkl") in different orders
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1")
+            src = str(Path(identities.__file__).resolve().parents[1])
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_RUN],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append(proc.stdout.split("\n", 1))  # the set's order, then the residuals
+        (order_1, residuals_1), (order_2, residuals_2) = runs
+        assert order_1 != order_2
+        assert residuals_1 == residuals_2
 
     def test_cold_run_peak_memory(self):
         # K, swap_sum, T and two temporaries of a two-party entry: 5 arrays of 16 d^4 bytes;
