@@ -24,7 +24,6 @@ from . import fileio
 from .bases import NAMED_BASES, MatrixBasis
 from .identities import DEFAULT_SEED, run_catalogue
 from .maps import (
-    Superoperator,
     bloch_decompose,
     choi_state,
     concurrence_squared,
@@ -99,12 +98,8 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-# name -> d -> the matrix written, in the order of the CLI choices
-_BUILDS = {
-    "swap": swap_operator,
-    "bell": lambda d: bell_state(d).reshape(-1, 1),
-    "coherent": lambda d: coherent_state(d).reshape(-1, 1),
-}
+# name -> d -> the operator or state written, in the order of the CLI choices
+_BUILDS = {"swap": swap_operator, "bell": bell_state, "coherent": coherent_state}
 
 
 def _cmd_build(args) -> int:
@@ -176,7 +171,7 @@ _CHOI_ACTIONS = {
 def _cmd_choi(args) -> int:
     basis = _resolve_basis(args.basis, args.dim)
     action = _CHOI_ACTIONS[args.map]
-    superop: Superoperator = superop_from_action(lambda g: action(g, basis), basis)
+    superop = superop_from_action(lambda g: action(g, basis), basis)
     fileio.save_matrix(choi_state(superop, basis).matrix, args.out)
     return 0
 
@@ -190,8 +185,7 @@ def _cmd_concurrence(args) -> int:
 def _cmd_decompose(args) -> int:
     basis = _resolve_basis(args.basis, args.dim)
     operand = fileio.load_matrix(args.input)
-    coeffs = bloch_decompose(operand, basis).coeffs
-    fileio.save_matrix(coeffs.reshape(-1, 1), args.out)
+    fileio.save_matrix(bloch_decompose(operand, basis).coeffs, args.out)
     return 0
 
 

@@ -3,9 +3,10 @@
 A matrix document is an object with fields "rows", "cols", and
 "entries", the latter a row-major list of [re, im] pairs of length
 rows*cols; both counts are positive, so the writer refuses an empty
-array. A vector is a single-column matrix. A basis document carries
-"d", "kind", and "elements", a list of d^2 matrix documents in flat
-(j, k) order.
+array. A vector is a single-column matrix, and the writer writes a 1-D
+array as one, so ``load_vector`` reads back every vector saved. A basis
+document carries "d", "kind", and "elements", a list of d^2 matrix
+documents in flat (j, k) order.
 
 Files hold exactly the bytes of ``json.dumps(doc, indent=2,
 allow_nan=False)`` plus a newline, but the writer does not call json on
@@ -14,10 +15,15 @@ time. Instead the entries are checked finite in one vectorized test,
 before any file is opened, and json's own error names the first NaN or
 infinity. Each distinct (re, im) pair, told apart by its 16 bytes so that
 -0.0 and 0.0 stay distinct, is formatted once with ``float.__repr__`` as
-json does, and the texts are joined. The reader parses with json and
-converts every entry with one ``np.array`` call once bulk checks pass
-(each pair a 2-list of finite numbers, no bools); only input that fails
-them takes the per-entry loop that names the offending index.
+json does, and the texts are joined.
+
+The reader parses with json and converts the entries of every document
+with one ``np.array`` call, after checks over the sets of their types and
+lengths (each pair a 2-list of ints or floats, subclasses included, no
+bools). The entries are scanned one by one only when a check fails, to
+name the first bad one; every type error comes before any finiteness
+error, and an int beyond the double range reads as infinite, so it is
+refused as not finite.
 """
 
 from __future__ import annotations
@@ -50,7 +56,9 @@ class FormatError(ValueError):
 
 
 def _as_matrix(m) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
+    """``m`` as a complex matrix; a 1-D array becomes one column."""
+    m = np.asarray(m, dtype=complex)
+    m = m.reshape(-1, 1) if m.ndim == 1 else np.atleast_2d(m)
     if m.ndim != 2 or 0 in m.shape:
         raise ValueError(f"a matrix has two nonempty axes, got an array of shape {m.shape}")
     return m
@@ -81,49 +89,46 @@ def matrix_from_dict(obj) -> np.ndarray:
         raise FormatError(
             f'field "entries" must hold rows*cols = {rows * cols} pairs, got {len(entries)}'
         )
-    values = _bulk_entries(entries)
-    if values is None:
-        values = _entries_one_by_one(entries)
-    return values.reshape(rows, cols)
+    return _entry_values(entries).reshape(rows, cols)
 
 
-def _bulk_entries(entries: list) -> np.ndarray | None:
-    """The entries as complex values if every one is a [re, im] list of finite numbers, else None."""
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    numbers = list(chain.from_iterable(entries))
-    if not set(map(type, numbers)) <= {int, float}:
-        return None
-    try:
-        values = np.array(numbers, dtype=float)
-    except OverflowError:  # an integer beyond the double range
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.view(complex)
+def _numbers(values) -> bool:
+    """Whether every value is an int or a float, subclasses included, but not a bool."""
+    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values)))
 
 
-def _entries_one_by_one(entries: list) -> np.ndarray:
-    """Convert entry by entry; the first bad one raises a FormatError that names its index."""
-    values = np.empty(len(entries), dtype=complex)
+def _name_bad_pair(entries: list) -> None:
+    """Raise a FormatError naming the first entry that is not a [re, im] pair of numbers, if any."""
     for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2 or not _numbers(pair):
             raise FormatError(
                 f'field "entries"[{i}] must be a [re, im] pair of numbers, got {pair!r}'
             )
-        try:
-            values[i] = complex(pair[0], pair[1])
-        except OverflowError:  # an integer beyond the double range
-            values[i] = np.inf
+
+
+def _float(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond the double range
+        return np.inf
+
+
+def _entry_values(entries: list) -> np.ndarray:
+    """The entries as complex values; a FormatError names the first bad one by its index."""
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        _name_bad_pair(entries)  # returns only for subclasses of list
+    numbers = list(chain.from_iterable(entries))
+    if not _numbers(numbers):
+        _name_bad_pair(entries)
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:
+        values = np.array([_float(x) for x in numbers])
     finite = np.isfinite(values)
     if not finite.all():
-        i = int(np.argmin(finite))
+        i = int(np.argmin(finite)) // 2
         raise FormatError(f'field "entries"[{i}] must be finite, got {entries[i]!r}')
-    return values
+    return values.view(complex)
 
 
 def _read_json(path) -> object:

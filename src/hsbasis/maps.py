@@ -27,13 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import _NOT_ORTHOGONAL, MatrixBasis, gellmann_y_elements, require_orthogonal
+from .bases import _NOT_ORTHOGONAL, MatrixBasis, check_dim, gellmann_y_elements, require_orthogonal
 from .linalg import (
     _as_two_party,
     _check_shape,
     _frozen,
     _party_axes,
-    _rows,
     apply_superop,
     basis_sum,
     combine,
@@ -81,8 +80,10 @@ class BlochVector:
     coeffs: np.ndarray  # (d*d,), complex, flat order j*d + k
 
     def __post_init__(self) -> None:
-        n, what = self.d * self.d, f"Bloch coefficients for d={self.d}"
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (n,), what))
+        d = check_dim(self.d)
+        object.__setattr__(self, "d", d)
+        what = f"Bloch coefficients for d={d}"
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (d * d,), what))
 
     @property
     def squared_length(self) -> float:
@@ -98,8 +99,10 @@ class Superoperator:
     matrix: np.ndarray  # (d*d, d*d), complex
 
     def __post_init__(self) -> None:
-        n, what = self.d * self.d, f"{type(self).__name__} matrix for d={self.d}"
-        object.__setattr__(self, "matrix", _frozen(self.matrix, (n, n), what))
+        d = check_dim(self.d)
+        object.__setattr__(self, "d", d)
+        what = f"{type(self).__name__} matrix for d={d}"
+        object.__setattr__(self, "matrix", _frozen(self.matrix, (d * d, d * d), what))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         return apply_superop(self.matrix, _check_shape(a, (self.d, self.d), "operator"))
@@ -294,8 +297,10 @@ def concurrence_squared(psi: np.ndarray) -> float:
     and ranges from 0 (product states) to 2(1 - 1/d) (maximally
     entangled states). With N the conjugate of ``psi`` read as a d x d
     matrix, <psi| y_a (x) y_b |psi^*> = sum_ij y_a[i,j] (N y_b N^T)[i,j]:
-    the stack N y N^T costs O(d^5) and the (d(d-1)/2)^2 values Q[a,b]
-    one more product of rows, y R^T, so no d^2 x d^2 array is formed.
+    the stack R = N y N^T costs O(d^5) and the (d(d-1)/2)^2 values Q[a,b]
+    one Hilbert-Schmidt Gram matrix, so no d^2 x d^2 array is formed.
+    Each y is purely imaginary, so conj(y) = -y exactly and
+    hs_gram(y, R) = -Q entry for entry, a sign that |Q|^2 does not see.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
     d = _local_dim(psi.size, "state vector length")
@@ -304,5 +309,5 @@ def concurrence_squared(psi: np.ndarray) -> float:
         raise ValueError(f"state vector must be normalized, got norm {norm!r}")
     n = psi.conj().reshape(d, d)
     ys = gellmann_y_elements(d)
-    q = _rows(ys) @ _rows(n @ ys @ n.T).T
+    q = hs_gram(ys, n @ ys @ n.T)
     return 4.0 * frob_norm(q) ** 2 / d**2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import _NOT_ORTHOGONAL, BasisSplit, MatrixBasis, require_orthogonal
+from .bases import _NOT_ORTHOGONAL, BasisSplit, MatrixBasis, check_dim, require_orthogonal
 from .linalg import _frozen, hs_gram, tolerance
 
 __all__ = [
@@ -42,8 +42,10 @@ class BasisChange:
     coeffs: np.ndarray  # (d*d, d*d), complex
 
     def __post_init__(self) -> None:
-        n, what = self.d * self.d, f"coefficient matrix for d={self.d}"
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (n, n), what))
+        d = check_dim(self.d)
+        object.__setattr__(self, "d", d)
+        what = f"coefficient matrix for d={d}"
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (d * d, d * d), what))
 
 
 @dataclass(frozen=True, eq=False)

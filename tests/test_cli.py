@@ -239,6 +239,14 @@ class TestConcurrence:
         assert code == 0
         assert capsys.readouterr().out == "1.0000000000\n"
 
+    @pytest.mark.parametrize("d, expected", [(2, "1.0000000000"), (3, "1.3333333333"), (4, "1.5000000000")])
+    def test_one_axis_state_file(self, tmp_path, capsys, d, expected):
+        # save_matrix writes a 1-D state as the column concurrence reads
+        path = tmp_path / "bell.json"
+        save_matrix(bell_state(d), path)
+        code = run("concurrence", "--state", str(path))
+        assert (code, capsys.readouterr().out) == (0, expected + "\n")
+
     def test_product_state_prints_zero(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         save_matrix(np.array([[1.0], [0.0], [0.0], [0.0]]), path)

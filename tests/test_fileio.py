@@ -21,6 +21,7 @@ from hsbasis.fileio import (
     save_basis,
     save_matrix,
 )
+from hsbasis.operators import bell_state, coherent_state
 
 import oracles
 
@@ -133,7 +134,7 @@ class TestWrittenText:
     def test_empty_matrix_refused(self, tmp_path, shape):
         # the reader needs positive "rows" and "cols", so the writer refuses to write zero
         path = tmp_path / "m.json"
-        written = np.atleast_2d(np.zeros(shape)).shape
+        written = shape if len(shape) == 2 else (0, 1)  # a 1-D array is written as one column
         with pytest.raises(ValueError, match=re.escape(str(written))):
             save_matrix(np.zeros(shape), path)
         assert not path.exists()
@@ -252,6 +253,13 @@ class TestReadEntries:
         with pytest.raises(FormatError, match=re.escape('"elements"[2]: field "entries"[3] must be finite')):
             basis_from_dict(doc)
 
+    def test_nan_before_an_int_beyond_double_is_named(self):
+        # an int beyond the double range makes the bulk conversion overflow; the first
+        # non-finite entry is still the one named
+        entries = [_PAIR, [float("nan"), 0.0], [10**400, 0]]
+        with pytest.raises(FormatError, match=re.escape('field "entries"[1] must be finite, got [nan, 0.0]')):
+            matrix_from_dict(_doc(entries))
+
     def test_float_subclass_values_are_read(self):
         entries = [[np.float64(0.5), np.float64(-0.0)], [2, np.float64(5e-324)]]
         got = matrix_from_dict(_doc(entries))
@@ -263,6 +271,16 @@ class TestVectorFormat:
         path = tmp_path / "v.json"
         save_matrix(np.array([[1.0], [2.0j]]), path)
         assert np.allclose(load_vector(path), [1.0, 2.0j])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_axis_state_round_trips_bit_for_bit(self, tmp_path, d):
+        rng = np.random.default_rng(d)
+        psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        for state in (psi / np.linalg.norm(psi), bell_state(d), coherent_state(d)):
+            path = tmp_path / "v.json"
+            save_matrix(state, path)
+            assert load_vector(path).tobytes() == state.tobytes()
+            assert matrix_from_dict(matrix_to_dict(state)).shape == (state.size, 1)
 
     def test_rejects_non_column(self, tmp_path):
         path = tmp_path / "m.json"

@@ -150,6 +150,21 @@ def test_records_check_the_shape_of_their_array(record, args):
         getattr(hsbasis, record)(*args)
 
 
+@pytest.mark.parametrize("d", [-1, 1, True, 2.0, 2.5, "2", None])
+@pytest.mark.parametrize("name", [name for name in RECORDS if name != "BlockStructure"])
+def test_records_check_d_before_the_shape(name, d):
+    args = _arguments(name, _writable)
+    with pytest.raises(ValueError, match="^dimension must be an integer of at least 2"):
+        getattr(hsbasis, name)(d, *args[1:])
+
+
+@pytest.mark.parametrize("d", [np.int64(2), np.int32(2), np.uint8(2)])
+@pytest.mark.parametrize("name", [name for name in RECORDS if name != "BlockStructure"])
+def test_records_store_d_as_an_int(name, d):
+    record = getattr(hsbasis, name)(d, *_arguments(name, _writable)[1:])
+    assert type(record.d) is int and record.d == 2
+
+
 def test_cached_arrays_are_read_only_with_their_owners():
     basis = hsbasis.random_basis(3, 2)
     held = [basis.bell_sum, basis.swap_sum, bases.gellmann_y_elements(3), *identities._seeded_pair(0, 3)]
