@@ -42,8 +42,9 @@ class MatrixBasis:
     stack the library has just built is adopted, any other copied), so
     instances can be shared freely. Validation, the maps, the expansions
     and the catalogue read one basis sum, ``bell_sum`` = sum g (x) g^*,
-    built on first use in O(d^6), and its partial transpose ``swap_sum`` =
-    sum g (x) g^dag, an O(d^4) index move; both are kept read-only,
+    built on first use in O(d^6); the maps and expansions also read its
+    partial transpose ``swap_sum`` = sum g (x) g^dag, an O(d^4) index move,
+    which the catalogue reads off T instead. Both are kept read-only,
     16 d^4 bytes each, for as long as the basis lives, so a validated or
     rotated basis keeps the first and the completeness residual read off it.
     """

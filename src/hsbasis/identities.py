@@ -14,26 +14,41 @@ Every basis-sum entry has one g and one g^* per summation index, so it
 is a contraction of the completeness tensor
 T[i,j,k,l] = sum_m g_m[i,j] g_m^*[k,l] (= d delta_ik delta_jl for an
 orthogonal basis) with itself: T = reshuffle(K), an O(d^4) index move of
-K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`). Ten
-entries state theirs once, as a ``spec`` in ``np.einsum`` notation over
-T with free indices a, b (sum g g^dag = T[a,i,b,i] is ``"aibi->ab"``),
-and the power of d on their right side (d**power times 1, or the number
-d**power). :func:`_contraction` compiles each spec at import into plain
-numpy calls, never einsum, whose summation order would move the last
-bits. One factor is traced over each repeated index pair in turn,
-O(d^3), and transposed if its free indices come out as (b, a). Two
-factors are transposed to (free, summed) and (summed, free), the summed
-indices in ``sorted()`` order (never a set's, which varies with the hash
-seed), then multiplied as one d x d^3 by d^3 x d product, O(d^5), or,
-with no free index, as one flat dot, O(d^4).
+K = sum g (x) g^* (:attr:`~hsbasis.bases.MatrixBasis.bell_sum`). All 15
+state theirs once, as a ``spec`` in ``np.einsum`` notation over T. Free
+indices a, b name a d x d matrix (sum g g^dag = T[a,i,b,i] is
+``"aibi->ab"``); a, b, c, e name a d^2 x d^2 two-party matrix, rows (a, b)
+and columns (c, e). A factor marked ``*`` is conjugated. The record also
+states the power ``over`` of d the left side is divided by, and its right
+side: d**power times the 0/1 pattern ``at``, which is the diagonal (the
+identity), SWAP's support or the grid [::d+1, ::d+1] on which
+d |Phi+><Phi+| has its ones.
 
-The two expansions read K and :attr:`~hsbasis.bases.MatrixBasis.swap_sum`.
-The three two-party four-factor sums are d^2 x d^2 products of these two
-sums, their adjoints or conjugates, by the mixed-product rule
-(A (x) B)(C (x) D) = AC (x) BD, O(d^6) each; no d^4-long stack of pair
-products is built. The two seeded checks on random A, B cost O(d^4): they
-read (A (x) B) SWAP off reshuffle(SWAP) without forming A (x) B
-(:meth:`_Operands.swap_trace`).
+:func:`_contraction` compiles each spec at import into plain numpy
+calls, never einsum, whose summation order would move the last bits:
+
+- A spec with no repeated index is an index move, O(d^4): K is
+  ``"acbe->abce"`` and S = sum g (x) g^dag = d SWAP is ``"aceb->abce"``,
+  the two expansions.
+- One factor is traced over each repeated index pair in turn, O(d^3),
+  and transposed if its free indices come out as (b, a).
+- Two factors are transposed to (free, summed) and (summed, free), the
+  summed indices in ``sorted()`` order (never a set's, which varies with
+  the hash seed), and reshaped to d^k x rest and rest x d^k for k free
+  indices each; a marked factor is conjugated after this copy. One
+  product follows: d x d^3 by d^3 x d for a chain, O(d^5); d^2 x d^2 by
+  d^2 x d^2 for the two-party products K K (``"ambn,mcne->abce"``), S K^*
+  (``"amnb,mcne*->abce"``) and S^dag S (``"mabn*,mcen->abce"``), O(d^6),
+  which the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD turns from
+  sums over pairs into products of pair-free sums; or, with no free index,
+  one flat dot, O(d^4).
+
+The two seeded checks on random A, B cost O(d^4) and read SWAP off the
+basis, as ``swap_expansion`` states it: S/d.
+W(B) = Tr_2[(1 (x) B) S/d] = (1/d) sum Tr(g^dag B) g is T read as
+d^2 x d^2 applied to vec(B) (:meth:`_Operands.swap_trace`), so neither
+A (x) B nor SWAP is formed, and W(B) = B for every B exactly when the
+basis is complete.
 
 A run shares its operands (:class:`_Operands`), and every residual is
 :func:`~hsbasis.linalg._deviation`'s. The trade-off: checked alone on a
@@ -53,18 +68,8 @@ import numpy as np
 
 from .bases import MatrixBasis
 from .linalg import (
-    _deviation,
-    _frozen,
-    _phi_grid,
-    _swap_support,
-    apply_superop,
-    dagger,
-    hs_gram,
-    reshuffle,
-    scalar_tolerance,
-    tolerance,
+    _deviation, _frozen, _phi_grid, _swap_support, hs_gram, reshuffle, scalar_tolerance, tolerance
 )
-from .operators import bell_expansion, swap_expansion, swap_operator
 from .report import IdentityCheck, IdentityReport
 
 __all__ = ["IdentityId", "check_identity", "run_catalogue", "DEFAULT_SEED"]
@@ -89,9 +94,8 @@ class _Operands:
 
     The basis sums are the basis's own and A, B are :func:`_seeded_pair`'s.
     The other operands are computed on first use, so a run builds only
-    those its entries need, and each at most once: T, its partial traces
-    (:attr:`traces`, keyed by the two axes) and reshuffle(SWAP), for which
-    SWAP is built once per run and not kept.
+    those its entries need, and each at most once: T and its partial traces
+    (:attr:`traces`, keyed by the two axes).
     """
 
     def __init__(self, basis: MatrixBasis, seed: int) -> None:
@@ -115,20 +119,24 @@ class _Operands:
             self.traces[axes] = np.trace(self.t, axis1=axes[0], axis2=axes[1])
         return self.traces[axes]
 
-    @cached_property
-    def swap_reshuffled(self) -> np.ndarray:
-        """reshuffle(SWAP), read by every swap_trace of the run; SWAP itself is not kept."""
-        return reshuffle(swap_operator(self.d), self.d)
-
     @property
     def random_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """A, B of the run's seed, from :func:`_seeded_pair`."""
         return _seeded_pair(self.seed, self.d)
 
     def swap_trace(self, b: np.ndarray) -> np.ndarray:
-        """W(B) = Tr_2[(1 (x) B) SWAP] = devec(reshuffle(SWAP) vec(B^T)), O(d^4); for any X
-        in place of SWAP, Tr_2[(A (x) B) X] = A W(B) and Tr[(A (x) B) X] = Tr(A W(B))."""
-        return apply_superop(self.swap_reshuffled, b.T)
+        """W(B) = Tr_2[(1 (x) B) SWAP] for the basis's SWAP, (1/d) sum g (x) g^dag: the
+        reconstruction (1/d) sum Tr(g^dag B) g = (1/d) T vec(B), T read as d^2 x d^2, O(d^4).
+        Tr_2[(A (x) B) SWAP] = A W(B) and Tr[(A (x) B) SWAP] = Tr(A W(B))."""
+        d = self.d
+        return (self.t.reshape(d * d, d * d) @ b.reshape(d * d)).reshape(d, d) * (1 / d)
+
+
+def _layout(t: np.ndarray, axes: tuple[int, ...], shape, conj: bool = False) -> np.ndarray:
+    """T's axes in the order ``axes``, reshaped; conjugated after that copy if ``conj``, and
+    only the conjugate is kept."""
+    x = t.transpose(axes).reshape(shape)
+    return x.conj() if conj else x
 
 
 def _contraction(spec: str) -> Callable[[_Operands], np.ndarray]:
@@ -136,16 +144,22 @@ def _contraction(spec: str) -> Callable[[_Operands], np.ndarray]:
     inputs, free = spec.split("->")
     factors = inputs.split(",")
     if len(factors) == 2:
-        summed = sorted(set(inputs) - set(free) - {","})
+        first_conj, second_conj = (f.endswith("*") for f in factors)
+        factors = [f.rstrip("*") for f in factors]
+        summed = sorted(set("".join(factors)) - set(free))
         first, second = ([c for c in f if c in free] for f in factors)
         left = tuple(factors[0].index(c) for c in first + summed)
         right = tuple(factors[1].index(c) for c in summed + second)
+        rows, cols = len(first), len(second)
 
         def contract(s: _Operands) -> np.ndarray:
-            x = s.t.transpose(left).reshape((s.d,) * len(first) + (-1,))
-            return x @ s.t.transpose(right).reshape((-1,) + (s.d,) * len(second))
+            x = _layout(s.t, left, (s.d**rows, -1) if rows else -1, first_conj)
+            return x @ _layout(s.t, right, (-1, s.d**cols) if cols else -1, second_conj)
 
         return contract
+    if len(set(inputs)) == len(inputs):
+        move = tuple(inputs.index(c) for c in free)
+        return lambda s: _layout(s.t, move, (s.d ** (len(free) // 2), -1))
     rest, pairs = inputs, []
     for c in inputs:
         if rest.count(c) == 2:
@@ -182,38 +196,53 @@ class _Identity:
     """One catalogue entry: its id, its formula, its residual on a run's operands,
     and the tolerance model the residual is judged against at dimension d.
 
-    A T-contraction states ``spec`` and ``power`` (module docstring) and no
-    residual: its residual is then the deviation of the compiled spec from
-    d**power. A residual given explicitly wins over the spec."""
+    A basis sum states ``spec``, ``power``, ``over`` and ``at`` (module
+    docstring) and no residual: its residual is then the deviation of the
+    compiled spec times 1 / d**over from d**power times the pattern ``at``
+    (the diagonal if None). A negative power is read as 1 / d**-power, never
+    as d**power, which rounds otherwise (at d = 1923, for one). A residual
+    given explicitly wins over the spec, and a spec with no free index is a
+    scalar sum, judged by scalar_tolerance unless a tolerance is given."""
 
     id: str
     formula: str
     spec: str | None = None
     power: int = 0
-    tolerance: Callable[[int], float] = tolerance
+    over: int = 0
+    at: Callable[[int], tuple] | None = None
+    tolerance: Callable[[int], float] | None = None
     residual: Callable[[_Operands], float] | None = None
 
     def __post_init__(self) -> None:
+        if self.tolerance is None:
+            scalar = self.spec is not None and self.spec.endswith("->")
+            object.__setattr__(self, "tolerance", scalar_tolerance if scalar else tolerance)
         if self.residual is None:
-            left, power = _contraction(self.spec), self.power
-            object.__setattr__(self, "residual", lambda s: _deviation(left(s), s.d**power))
+            left, power, over, at = _contraction(self.spec), self.power, self.over, self.at
+
+            def residual(s: _Operands) -> float:
+                x = left(s) * (1 / s.d**over) if over else left(s)
+                c = s.d**power if power >= 0 else 1 / s.d**-power
+                return _deviation(x, c, None if at is None else at(s.d))
+
+            object.__setattr__(self, "residual", residual)
+
+    def check(self, s: _Operands) -> IdentityCheck:
+        """This entry's residual on a run's operands, against its tolerance at the run's d."""
+        residual = float(self.residual(s))
+        return IdentityCheck(self.id, self.formula, residual, float(self.tolerance(s.d)))
 
 
-# the catalogue in run order; IdentityId is built from it
+# the catalogue in run order, each record (id, formula, spec, power, over, at); IdentityId is
+# built from it
 _CATALOGUE = (
     # two-factor sums
-    _Identity(
-        "swap_expansion",
-        "SWAP == (1/d) sum g (x) g^dag",
-        residual=lambda s: _deviation(swap_expansion(s.basis), 1, _swap_support(s.d)),
-    ),
+    _Identity("swap_expansion", "SWAP == (1/d) sum g (x) g^dag", "aceb->abce", 0, 1, _swap_support),
     _Identity("gg_dagger_sum", "sum g g^dag == d^2 1", "aibi->ab", 2),
     _Identity("trace_weighted_sum", "sum Tr(g) g^dag == d 1", "iiba->ab", 1),
-    _Identity("trace_norm_sum", "sum |Tr g|^2 == d^2", "iijj->", 2, scalar_tolerance),
+    _Identity("trace_norm_sum", "sum |Tr g|^2 == d^2", "iijj->", 2),
     _Identity(
-        "bell_expansion",
-        "|Phi+><Phi+| == (1/d^2) sum g (x) g^*",
-        residual=lambda s: _deviation(bell_expansion(s.basis), 1 / s.d, _phi_grid(s.d)),
+        "bell_expansion", "|Phi+><Phi+| == (1/d^2) sum g (x) g^*", "acbe->abce", -1, 2, _phi_grid
     ),
     _Identity("gg_conj_sum", "sum g g^* == d 1", "aiib->ab", 1),
     _Identity("trace_weighted_conj", "sum Tr(g) g^* == d 1", "iiab->ab", 1),
@@ -221,9 +250,8 @@ _CATALOGUE = (
     _Identity(
         "identity_4op_tensor",
         "1 (x) 1 == (1/d^2) sum g_ab^dag g_jk (x) g_ab g_jk^dag",
-        residual=lambda s: _deviation(
-            dagger(s.basis.swap_sum) @ s.basis.swap_sum * (1 / s.d**2), 1
-        ),
+        "mabn*,mcen->abce",
+        over=2,
     ),
     _Identity("fourops_1", "sum g_ab^dag g_jk g_ab g_jk^dag == d^2 1", "jkia,ijbk->ab", 2),
     _Identity("fourops_2", "sum g_ab g_jk g_ab^* g_jk^* == d^3 1", "aijk,ijkb->ab", 3),
@@ -231,20 +259,22 @@ _CATALOGUE = (
     _Identity(
         "bellbell_tensor",
         "|Phi+><Phi+| == (1/d^4) sum g_ab g_jk (x) (g_ab g_jk)^*",
-        residual=lambda s: _deviation(
-            s.basis.bell_sum @ s.basis.bell_sum * (1 / s.d**4), 1 / s.d, _phi_grid(s.d)
-        ),
+        "ambn,mcne->abce",
+        power=-1,
+        over=4,
+        at=_phi_grid,
     ),
     _Identity(
         "swapbell_tensor",
         "|Phi+><Phi+| == (1/d^3) sum g_ab g_jk^* (x) g_ab^dag g_jk",
-        residual=lambda s: _deviation(
-            s.basis.swap_sum @ s.basis.bell_sum.conj() * (1 / s.d**3), 1 / s.d, _phi_grid(s.d)
-        ),
+        "amnb,mcne*->abce",
+        power=-1,
+        over=3,
+        at=_phi_grid,
     ),
     _Identity("tr1_bellbell", "sum Tr(g_ab g_jk) (g_ab g_jk)^* == d^3 1", "ijak,jikb->ab", 3),
-    _Identity("tr12_bellbell", "sum |Tr(g_ab g_jk)|^2 == d^4", "ijkl,jilk->", 4, scalar_tolerance),
-    # seeded random-operator checks, on the run's one draw of A, B
+    _Identity("tr12_bellbell", "sum |Tr(g_ab g_jk)|^2 == d^4", "ijkl,jilk->", 4),
+    # seeded random-operator checks, on the run's one draw of A, B and the basis's SWAP
     _Identity("trswap_choi", "Tr_2(A (x) B SWAP) == A B for random A, B", residual=_trswap_choi),
     _Identity(
         "purity_link",
@@ -289,21 +319,14 @@ def run_catalogue(
 ) -> IdentityReport:
     """Run the whole catalogue (or a non-empty subset, in the order given).
 
+    ``ids`` is one id (an IdentityId or its name) or an iterable of them.
     The entries share one set of operands, so each basis sum is built once.
     The seed must be an int or np.integer >= 0; anything else raises ValueError.
     """
+    if isinstance(ids, (str, IdentityId)):
+        ids = [ids]
     selected = _CATALOGUE if ids is None else [_entry(i) for i in ids]
     if not selected:
         raise ValueError("ids must name at least one identity")
     operands = _Operands(basis, seed)
-    return IdentityReport(
-        tuple(
-            IdentityCheck(
-                id=entry.id,
-                description=entry.formula,
-                residual=float(entry.residual(operands)),
-                tolerance=float(entry.tolerance(operands.d)),
-            )
-            for entry in selected
-        )
-    )
+    return IdentityReport(tuple(entry.check(operands) for entry in selected))

@@ -52,7 +52,7 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         verdicts = {r["id"]: r["verdict"] for r in doc["results"]}
         assert verdicts["swap_expansion"] == "fail"
-        assert verdicts["trswap_choi"] == "pass"  # independent of the basis
+        assert verdicts["trswap_choi"] == "fail"  # the basis's SWAP reads W(B) = 2.25 B
 
     def test_byte_identical_reports(self, tmp_path):
         args = ("verify", "--dim", "2", "--basis", "weyl", "--seed", "11", "--report", "machine")

@@ -44,7 +44,7 @@ from hsbasis.linalg import (
     tensor,
     tolerance,
 )
-from hsbasis.maps import bloch_decompose, trace_map
+from hsbasis.maps import trace_map
 from hsbasis.operators import bell_projector, swap_operator
 from hsbasis.report import IdentityCheck, IdentityReport
 
@@ -150,6 +150,16 @@ class TestIndividualChecks:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown identity"):
             check_identity("no_such_identity", gellmann_basis(2))
+
+    @pytest.mark.parametrize("one", ["swap_expansion", "SWAP_EXPANSION", IdentityId.SWAP_EXPANSION])
+    def test_one_id_is_a_one_entry_selection(self, one):
+        # a string is not read character by character, and an IdentityId is not iterated
+        report = run_catalogue(gellmann_basis(2), ids=one)
+        assert [c.id for c in report.checks] == ["swap_expansion"]
+
+    def test_one_unknown_id_rejected_by_name(self):
+        with pytest.raises(ValueError, match="unknown identity 'no_such_identity'"):
+            run_catalogue(gellmann_basis(2), ids="no_such_identity")
 
     def test_subset_selection(self):
         ids = [IdentityId.SWAP_EXPANSION, "purity_link"]
@@ -354,20 +364,30 @@ def _completeness_loops(g):
 
 
 def _completeness_reads_loops(g):
-    """The left side of every entry that reads T, by sums over the elements and pairs."""
+    """The left side of every basis-sum entry before it is divided by d**over, by sums over
+    the elements and pairs: K = sum g (x) g^* and S = sum g (x) g^dag term by term, the
+    two-party products from the pair loops."""
     gc = g.conj()
     gd = gc.transpose(0, 2, 1)
     n = len(g)
     m = oracles.trace_gram_loops(g)
+    p1, s_dag_s = oracles.four_factor_loops(gd, g, g, gd)
+    p2, k_k = oracles.four_factor_loops(g, g, gc, gc)
+    p3, s_k_conj = oracles.four_factor_loops(g, gc, gd, g)
     return {
+        IdentityId.SWAP_EXPANSION: sum(oracles.kron_loops(x, y) for x, y in zip(g, gd)),
         IdentityId.GG_DAGGER_SUM: sum(x @ y for x, y in zip(g, gd)),
-        IdentityId.GG_CONJ_SUM: sum(x @ y for x, y in zip(g, gc)),
         IdentityId.TRACE_WEIGHTED_SUM: oracles.combine_loops([np.trace(x) for x in g], gd),
-        IdentityId.TRACE_WEIGHTED_CONJ: oracles.combine_loops([np.trace(x) for x in g], gc),
         IdentityId.TRACE_NORM_SUM: sum(abs(np.trace(x)) ** 2 for x in g),
-        IdentityId.FOUROPS_1: oracles.four_factor_loops(gd, g, g, gd)[0],
-        IdentityId.FOUROPS_2: oracles.four_factor_loops(g, g, gc, gc)[0],
-        IdentityId.FOUROPS_3: oracles.four_factor_loops(g, gc, gd, g)[0],
+        IdentityId.BELL_EXPANSION: sum(oracles.kron_loops(x, y) for x, y in zip(g, gc)),
+        IdentityId.GG_CONJ_SUM: sum(x @ y for x, y in zip(g, gc)),
+        IdentityId.TRACE_WEIGHTED_CONJ: oracles.combine_loops([np.trace(x) for x in g], gc),
+        IdentityId.IDENTITY_4OP_TENSOR: s_dag_s,
+        IdentityId.FOUROPS_1: p1,
+        IdentityId.FOUROPS_2: p2,
+        IdentityId.FOUROPS_3: p3,
+        IdentityId.BELLBELL_TENSOR: k_k,
+        IdentityId.SWAPBELL_TENSOR: s_k_conj,
         IdentityId.TR1_BELLBELL: sum(
             m[a, b] * gc[a] @ gc[b] for a in range(n) for b in range(n)
         ),
@@ -375,13 +395,20 @@ def _completeness_reads_loops(g):
     }
 
 
+def _einsum(spec, t):
+    """np.einsum of a spec over T, each factor marked * conjugated and the mark stripped."""
+    factors = spec.split("->")[0].split(",")
+    return np.einsum(spec.replace("*", ""), *[t.conj() if f.endswith("*") else t for f in factors])
+
+
 class TestCompletenessReads:
-    """Every entry that reads T against loops on random, non-orthogonal elements.
+    """Every basis-sum entry, read off T, against loops on random, non-orthogonal elements.
 
     Random elements obey no completeness relation, so a wrong axis in a
-    partial trace or a permutation, or a missing transpose, changes the value
-    read; comparing values, not residuals, also catches a transposed or
-    conjugated result, which has the same distance from a multiple of 1.
+    partial trace or a permutation, a missing transpose or a conjugate on the
+    wrong factor changes the value read; comparing values, not residuals, also
+    catches a transposed or conjugated result, which has the same distance
+    from a multiple of 1.
     """
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -390,13 +417,14 @@ class TestCompletenessReads:
         # so each spec states its formula and compiles to it
         basis = _random_elements_basis(d)
         reads = _completeness_reads_loops(basis.elements)
-        specs = {e.id: e.spec for e in identities._CATALOGUE if e.spec is not None}
-        assert set(specs) == {i.value for i in reads}
+        entries = {e.id: e for e in identities._CATALOGUE if e.spec is not None}
+        assert set(entries) == {i.value for i in reads} == {i.value for i in BASIS_SUM_IDS}
         t = _completeness_loops(basis.elements)
         for identity, want in reads.items():
-            assert _close(_left_side(identity, basis), want), identity
-            spec = specs[identity.value]
-            assert _close(np.einsum(spec, *[t] * (spec.count(",") + 1)), want), identity
+            entry = entries[identity.value]
+            assert _close(_left_side(identity, basis) * d**entry.over, want), identity
+            got = _einsum(entry.spec, t)
+            assert _close(np.reshape(got, np.shape(want)), want), identity
 
 
 def _dense_targets(d, a, b):
@@ -530,8 +558,8 @@ class TestSharedOperands:
         bases._named_basis.cache_clear()  # a fresh named basis builds its sum under count
         counts = dict.fromkeys(("kron_sum", "swap_operator", "bell_projector"), 0)
         for name in counts:
-            # the basis builds its one sum, the run SWAP; no module may build the Bell projector
-            module = {"kron_sum": bases, "swap_operator": identities}.get(name, operators)
+            # the basis builds its one sum; no run builds SWAP or the Bell projector
+            module = bases if name == "kron_sum" else operators
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
@@ -544,8 +572,9 @@ class TestSharedOperands:
     def test_full_run_builds_each_operand_once(self, calls):
         report = run_catalogue(weyl_basis(3))
         assert report.all_passed
-        assert calls == {"kron_sum": 1, "swap_operator": 1, "bell_projector": 0}
+        assert calls == {"kron_sum": 1, "swap_operator": 0, "bell_projector": 0}
         assert not hasattr(identities, "bell_projector")
+        assert not hasattr(identities, "swap_operator")
 
     def test_any_subset_builds_each_operand_at_most_once(self, calls):
         subsets = [[i] for i in ALL_IDS] + [list(p) for p in itertools.combinations(ALL_IDS, 2)]
@@ -555,15 +584,24 @@ class TestSharedOperands:
                 calls[name] = 0
             run_catalogue(gellmann_basis(2), ids=subset)
             assert calls["kron_sum"] <= 1, subset
-            # SWAP is the seeded checks' operand alone; the expansions read its support
-            assert calls["swap_operator"] == int(any(i in SEEDED_IDS for i in subset)), subset
+            # the seeded checks read SWAP off T, the expansions its support
+            assert calls["swap_operator"] == 0, subset
             assert calls["bell_projector"] == 0, subset
 
     @pytest.mark.parametrize("identity", ALL_IDS, ids=lambda i: i.value)
     def test_single_check_builds_only_its_operands(self, calls, identity):
-        # every basis-sum entry reads the basis's one sum, sum g (x) g^*, or T off it
+        # every entry, the seeded ones too, reads T off the basis's one sum, sum g (x) g^*
         check_identity(identity, weyl_basis(3))
-        assert calls["kron_sum"] == int(identity in BASIS_SUM_IDS)
+        assert calls["kron_sum"] == 1
+        assert calls["swap_operator"] == 0
+
+    @pytest.mark.parametrize("ids", [None, SEEDED_IDS, [IdentityId.SWAP_EXPANSION]])
+    def test_run_on_a_cold_basis_leaves_swap_sum_unbuilt(self, ids):
+        # every entry reads T, so a basis keeps its one sum and not the second array
+        cold = MatrixBasis(4, weyl_basis(4).elements)
+        assert run_catalogue(cold, ids=ids).all_passed
+        assert "bell_sum" in vars(cold)
+        assert "swap_sum" not in vars(cold)
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -590,21 +628,21 @@ class TestSharedOperands:
         assert run_catalogue(basis, ids=BASIS_SUM_IDS).all_passed
         assert kernel_calls == dict.fromkeys(kernel_calls, 0)
 
-    def test_full_run_applies_a_superoperator_only_in_the_seeded_read_out(self, monkeypatch):
-        # of the matrix kernels, identities keeps apply_superop for swap_trace and
-        # hs_gram for purity_link's Bloch coefficients, and nothing of maps
-        assert not any(hasattr(identities, n) for n in ("combine", "product_sum"))
+    def test_full_run_applies_no_superoperator(self, monkeypatch):
+        # of the matrix kernels, identities keeps hs_gram alone, for purity_link's Bloch
+        # coefficients; W(B) is one product with T, and nothing comes from maps or operators
+        kernels = ("apply_superop", "dagger", "combine", "product_sum")
+        assert not any(hasattr(identities, n) for n in kernels)
         modules = {getattr(v, "__module__", None) for v in vars(identities).values()}
         assert maps.__name__ not in modules
-        calls = {"apply_superop": [], "hs_gram": []}
-        for name, got in calls.items():
-            original = getattr(identities, name)
-            monkeypatch.setattr(
-                identities, name, lambda *a, _got=got, _f=original: _got.append(a) or _f(*a)
-            )
-        assert run_catalogue(random_basis(4, 5)).all_passed
-        assert len(calls["apply_superop"]) == 2  # W(B) once each for trswap_choi and purity_link
-        assert len(calls["hs_gram"]) == 1  # B's Bloch coefficients, for purity_link
+        assert operators.__name__ not in modules
+        assert operators not in vars(identities).values()
+        grams = []
+        original = identities.hs_gram
+        monkeypatch.setattr(identities, "hs_gram", lambda *a: grams.append(a) or original(*a))
+        for runs in (1, 2):
+            assert run_catalogue(random_basis(4, 5)).all_passed
+            assert len(grams) == runs  # B's Bloch coefficients, for purity_link
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_derived_operands_match_loops_on_a_non_orthogonal_stack(self, monkeypatch, d):
@@ -631,7 +669,7 @@ class TestSharedOperands:
         assert _close(s.traces[0, 1], sum(np.trace(x) * x.conj() for x in g))
         assert _close(s.traces[1, 2], sum(x @ y for x, y in zip(g, gc)))
         assert _close(s.traces[1, 3], sum(x @ y for x, y in zip(g, gd)))
-        assert np.array_equal(s.swap_reshuffled, linalg.reshuffle(swap_operator(d), d))
+        assert "swap_sum" not in vars(s.basis)
         k_swap, k_bell = s.basis.swap_sum, s.basis.bell_sum
         derived = [(k_swap, g, gd), (dagger(k_swap), gd, g), (k_bell.conj(), gc, g)]
         for got, x, y in derived:
@@ -706,40 +744,50 @@ class TestSharedOperands:
 
 
 
-def _with_swap(monkeypatch, x):
-    """Make every run take ``x`` as its SWAP operand."""
-    monkeypatch.setattr(identities, "swap_operator", lambda d: x)
+def _perturbed_weyl(d, delta, seed):
+    """A cold Weyl basis whose element 1 is moved by delta times a complex Gaussian matrix."""
+    g = np.array(weyl_basis(d).elements)
+    g[1] += delta * oracles.random_matrix(d, np.random.default_rng(seed))
+    return MatrixBasis(d, g)
+
+
+def _defective_weyl(d, wrong):
+    """A cold Weyl basis with element 1 scaled by 1.5, or with two of its rows exchanged."""
+    g = np.array(weyl_basis(d).elements)
+    g[1] = 1.5 * g[1] if wrong == "scaled" else g[1][[1, 0, *range(2, d)]]
+    return MatrixBasis(d, g)
 
 
 class TestSeededEntries:
-    """Tr_2[(A (x) B) SWAP] = A B and Tr[(B^dag (x) B) SWAP] = Tr(B^dag B) in O(d^4)."""
+    """Tr_2[(A (x) B) SWAP] = A B and Tr[(B^dag (x) B) SWAP] = Tr(B^dag B) in O(d^4), with
+    SWAP the basis's own expansion (1/d) sum g (x) g^dag."""
 
     @pytest.mark.parametrize("d", range(2, 7))
-    def test_swap_trace_matches_kronecker_oracles_for_any_operand(self, monkeypatch, d):
-        # a random X in place of SWAP obeys no permutation symmetry, so an index
-        # transposed or exchanged in the O(d^4) read-out cannot cancel out
-        rng = np.random.default_rng(1200 + d)
-        x = oracles.random_matrix(d * d, rng)
-        _with_swap(monkeypatch, x)
-        s = _Operands(random_basis(d, 1300 + d), 7)
+    def test_swap_trace_matches_loop_oracles_on_a_non_orthogonal_stack(self, d):
+        # random elements obey no completeness relation, so their SWAP X has no permutation
+        # symmetry, and an index transposed or exchanged in the O(d^4) read-out cannot cancel
+        basis = _random_elements_basis(d)
+        g = basis.elements
+        x = sum(oracles.kron_loops(e, e.conj().T) for e in g) / d
+        s = _Operands(basis, 7)
         a, b = s.random_pair
-        assert np.linalg.norm(a @ s.swap_trace(b) - oracles.trswap_loops(a, b, x)) <= tolerance(d)
-        via_swap = hs_inner(b, s.swap_trace(b))
-        assert abs(via_swap - oracles.purity_swap_term_loops(b, x)) <= tolerance(d)
+        w = s.swap_trace(b)
+        assert _close(w, oracles.combine_loops([oracles.hs_inner_loops(e, b) for e in g], g) / d)
+        assert _close(a @ w, oracles.trswap_loops(a, b, x))
+        assert _close(hs_inner(b, w), oracles.purity_swap_term_loops(b, x))
 
     @pytest.mark.parametrize("d", range(2, 7))
-    def test_residuals_match_kronecker_oracles_for_any_operand(self, monkeypatch, d):
-        rng = np.random.default_rng(1400 + d)
-        x = oracles.random_matrix(d * d, rng)
-        _with_swap(monkeypatch, x)
-        basis = random_basis(d, 1500 + d)
+    def test_residuals_match_kronecker_oracles_on_a_non_orthogonal_stack(self, d):
+        basis = _random_elements_basis(d)
+        g = basis.elements
+        x = sum(oracles.kron_loops(e, e.conj().T) for e in g) / d
         got = {c.id: c.residual for c in run_catalogue(basis, ids=SEEDED_IDS, seed=3)}
         first, second = _Operands(basis, 3).random_pair
         trswap = np.linalg.norm(oracles.trswap_loops(first, second, x) - first @ second)
         # purity_link's B is the run's first draw
         sides = (
             oracles.purity_swap_term_loops(first, x),
-            bloch_decompose(first, basis).squared_length,
+            sum(abs(oracles.hs_inner_loops(e, first)) ** 2 for e in g) / d,
             float(np.vdot(first, first).real),
         )
         purity = max(abs(p - q) for p, q in itertools.combinations(sides, 2))
@@ -747,15 +795,19 @@ class TestSeededEntries:
         assert abs(got["purity_link"] - purity) <= tolerance(d)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    @pytest.mark.parametrize("wrong", ["identity", "row_pair_exchanged"])
-    def test_wrong_swap_fails_both(self, monkeypatch, d, wrong):
-        if wrong == "identity":
-            x = np.eye(d * d, dtype=complex)
-        else:
-            x = swap_operator(d)[[1, 0, *range(2, d * d)]]
-        _with_swap(monkeypatch, x)
-        report = run_catalogue(weyl_basis(d), ids=SEEDED_IDS, seed=5)
+    @pytest.mark.parametrize("wrong", ["scaled", "rows_exchanged"])
+    def test_defective_basis_fails_both(self, d, wrong):
+        report = run_catalogue(_defective_weyl(d, wrong), ids=SEEDED_IDS, seed=5)
         assert [c.passed for c in report.checks] == [False, False]
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_a_small_defect_fails_trswap_choi(self, d):
+        # one element moved by 1e-9 times a complex Gaussian: the basis is no longer
+        # complete to the tolerance, and trswap_choi sees it; unmoved, it passes
+        for seed in range(3):
+            moved = check_identity(IdentityId.TRSWAP_CHOI, _perturbed_weyl(d, 1e-9, seed))
+            assert not moved.passed, (seed, moved.residual / moved.tolerance)
+            assert check_identity(IdentityId.TRSWAP_CHOI, _perturbed_weyl(d, 0.0, seed)).passed
 
     @pytest.fixture
     def generators(self, monkeypatch):
@@ -853,39 +905,35 @@ class TestSeededEntries:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("ids", [None, SEEDED_IDS, [IdentityId.PURITY_LINK]])
-    def test_one_swap_reshuffle_per_run(self, monkeypatch, d, ids):
-        # W(B) is read twice per full run, off one reshuffle of that run's own SWAP
-        swap = swap_operator(d)
+    def test_one_reshuffle_per_run(self, monkeypatch, d, ids):
+        # W(B) is read twice per full run, off the one T of that run
         shuffled = []
         original = identities.reshuffle
-
-        def counted(m, dim):
-            if np.shape(m) == swap.shape and np.array_equal(m, swap):
-                shuffled.append(dim)
-            return original(m, dim)
-
-        monkeypatch.setattr(identities, "reshuffle", counted)
+        monkeypatch.setattr(
+            identities, "reshuffle", lambda m, dim: shuffled.append(dim) or original(m, dim)
+        )
         for runs in (1, 2):
             assert run_catalogue(random_basis(d, 880 + d), ids=ids).all_passed
             assert shuffled == [d] * runs
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_no_kronecker_product_and_no_d2_by_d2_product(self, monkeypatch, d):
-        class Swap(np.ndarray):
-            """SWAP that refuses to enter a product with a d^2 x d^2 matrix."""
+        class Guarded(np.ndarray):
+            """T that refuses to enter a product with a d^2 x d^2 matrix."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 if ufunc is np.matmul:
                     shapes = [np.shape(i) for i in inputs]
-                    assert not all(min(s[-2:], default=0) >= d * d for s in shapes), shapes
-                plain = [i.view(np.ndarray) if isinstance(i, Swap) else i for i in inputs]
+                    assert not all(len(s) == 2 and min(s) >= d * d for s in shapes), shapes
+                plain = [i.view(np.ndarray) if isinstance(i, Guarded) else i for i in inputs]
                 return getattr(ufunc, method)(*plain, **kwargs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("Kronecker product formed")
 
         monkeypatch.setattr(np, "kron", refuse)
-        _with_swap(monkeypatch, swap_operator(d).view(Swap))
+        build = _Operands.t.func
+        monkeypatch.setattr(_Operands, "t", property(lambda s: build(s).view(Guarded)))
         report = run_catalogue(random_basis(d, 60 + d), ids=SEEDED_IDS)
         assert report.all_passed
         # the guard itself: the old O(d^6) evaluation trips both checks
@@ -893,7 +941,7 @@ class TestSeededEntries:
         with pytest.raises(AssertionError):
             tensor(a, a)
         with pytest.raises(AssertionError):
-            np.ones((d * d, d * d), dtype=complex) @ swap_operator(d).view(Swap)
+            np.ones((d * d, d * d), dtype=complex) @ swap_operator(d).view(Guarded)
 
 
 class TestSeedValidation:
