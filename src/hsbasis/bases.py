@@ -55,8 +55,7 @@ class MatrixBasis:
 
     def __post_init__(self) -> None:
         d = check_dim(self.d)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "elements", _frozen(self.elements, (d * d, d, d), "basis elements"))
+        _hold(self, d=d, elements=_frozen(self.elements, (d * d, d, d), "basis elements"))
 
     @cached_property
     def bell_sum(self) -> np.ndarray:
@@ -96,6 +95,17 @@ def check_dim(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise ValueError(f"dimension must be an integer of at least 2, got {d!r}")
     return int(d)
+
+
+def _hold(record, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``record``, the one place a record writes itself.
+
+    The record rule: every record passes its d as :func:`check_dim` returns it, checked
+    before any shape, and each array as :func:`hsbasis.linalg._frozen` holds it, so no
+    record shares or writes a caller's array.
+    """
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
 
 
 _NAMED_CACHE_SIZE = 12

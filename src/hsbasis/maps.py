@@ -12,8 +12,11 @@ superoperator (:func:`hsbasis.linalg.sandwich_sum`, conventions in
 (:class:`~hsbasis.bases.MatrixBasis`), applied by
 :func:`hsbasis.linalg.apply_superop` on the axes of the factor it acts
 on, in O(d^4) to a d x d operand, O(d^6) to a two-party one. Each such
-map first refuses, with ValueError, a basis whose cached completeness
-residual fails :func:`~hsbasis.bases.validate_basis`.
+map checks its operand's shape (and party) first, then refuses, with
+ValueError, a basis whose cached completeness residual fails
+:func:`~hsbasis.bases.validate_basis`. The trace, transposition, partial
+transposition and reshuffling maps state that contract and their 1/d
+scale once, in the private applier ``_sum_map``.
 Conjugation is entrywise in the computational basis, in which the
 antisymmetric Gell-Mann elements of state inversion and concurrence are
 defined.
@@ -27,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import _NOT_ORTHOGONAL, MatrixBasis, check_dim, gellmann_y_elements, require_orthogonal
+from .bases import _NOT_ORTHOGONAL, MatrixBasis, _hold, check_dim, gellmann_y_elements, require_orthogonal
 from .linalg import (
     _as_two_party,
     _check_shape,
@@ -70,9 +73,9 @@ __all__ = [
 class BlochVector:
     """Coefficients b_jk = Tr(g_jk^dag B) of an operator in a given basis.
 
-    Like every record here it holds its array read-only
-    (:func:`hsbasis.linalg._frozen`): an array the library has just built
-    is adopted, any other copied, so no input shares it.
+    Like every record here it checks d and holds its array read-only by
+    one rule (``hsbasis.bases._hold``): an array the library has just
+    built is adopted, any other copied, so no input shares it.
     """
 
     d: int
@@ -81,9 +84,8 @@ class BlochVector:
 
     def __post_init__(self) -> None:
         d = check_dim(self.d)
-        object.__setattr__(self, "d", d)
         what = f"Bloch coefficients for d={d}"
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (d * d,), what))
+        _hold(self, d=d, coeffs=_frozen(self.coeffs, (d * d,), what))
 
     @property
     def squared_length(self) -> float:
@@ -100,9 +102,8 @@ class Superoperator:
 
     def __post_init__(self) -> None:
         d = check_dim(self.d)
-        object.__setattr__(self, "d", d)
         what = f"{type(self).__name__} matrix for d={d}"
-        object.__setattr__(self, "matrix", _frozen(self.matrix, (d * d, d * d), what))
+        _hold(self, d=d, matrix=_frozen(self.matrix, (d * d, d * d), what))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         return apply_superop(self.matrix, _check_shape(a, (self.d, self.d), "operator"))
@@ -136,18 +137,26 @@ def bloch_reconstruct(bloch, basis: MatrixBasis) -> np.ndarray:
     return combine(coeffs, basis.elements) * (1 / basis.d)
 
 
+def _sum_map(t: np.ndarray, basis: MatrixBasis, name: str, axes=(-2, -1)) -> np.ndarray:
+    """(1/d) times the basis sum ``name`` applied to the d x d factors on ``axes`` of the
+    checked operand ``t``, in C order, as the square matrix t flattens to.
+
+    The sum is read only once the basis has passed :func:`~hsbasis.bases.require_orthogonal`
+    (ValueError otherwise), so a refused basis builds none.
+    """
+    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
+    s = apply_superop(getattr(basis, name), t, axes)
+    return np.multiply(s, 1 / basis.d, order="C").reshape(math.isqrt(t.size), -1)
+
+
 def trace_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^dag, which equals Tr(A) 1 for any orthogonal basis."""
-    a = _check_shape(a, (basis.d, basis.d), "operator")
-    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
-    return apply_superop(basis.bell_sum, a) * (1 / basis.d)
+    return _sum_map(_check_shape(a, (basis.d, basis.d), "operator"), basis, "bell_sum")
 
 
 def transpose_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     """(1/d) sum_lm g_lm A g_lm^*, the basis expansion of the transposition."""
-    a = _check_shape(a, (basis.d, basis.d), "operator")
-    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
-    return apply_superop(basis.swap_sum, a) * (1 / basis.d)
+    return _sum_map(_check_shape(a, (basis.d, basis.d), "operator"), basis, "swap_sum")
 
 
 def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
@@ -159,11 +168,6 @@ def identity_map(a: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     return product_sum(inner, g) * (1 / basis.d**2)
 
 
-def _two_sided(s: np.ndarray, t: np.ndarray, axes, scale: float) -> np.ndarray:
-    """``scale`` times ``s`` applied to the factors of the 4-index ``t`` on ``axes``, in C order."""
-    return np.multiply(apply_superop(s, t, axes), scale, order="C").reshape(len(s), len(s))
-
-
 def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.ndarray:
     """Partial transposition of a two-party operator as a two-sided basis sum.
 
@@ -172,8 +176,7 @@ def partial_transpose_map(b: np.ndarray, party: int, basis: MatrixBasis) -> np.n
     basis's ``swap_sum``, applied to B on the chosen factor in O(d^6).
     Matches the raw index swap of :func:`hsbasis.linalg.partial_transpose`.
     """
-    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
-    return _two_sided(basis.swap_sum, _as_two_party(b, basis.d), _party_axes(party), 1 / basis.d)
+    return _sum_map(_as_two_party(b, basis.d), basis, "swap_sum", _party_axes(party))
 
 
 def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
@@ -183,8 +186,7 @@ def reshuffle_map(b: np.ndarray, basis: MatrixBasis) -> np.ndarray:
     left on factor 2 and g^* from the right on factor 1; O(d^6). Matches
     the raw index permutation of :func:`hsbasis.linalg.reshuffle`.
     """
-    require_orthogonal(basis, f"basis {_NOT_ORTHOGONAL}")
-    return _two_sided(basis.swap_sum, _as_two_party(b, basis.d), (1, 2), 1 / basis.d)
+    return _sum_map(_as_two_party(b, basis.d), basis, "swap_sum", (1, 2))
 
 
 def superop_from_action(
@@ -193,7 +195,8 @@ def superop_from_action(
     """Superoperator of L(A) = (1/d) sum_jk Tr(g_jk^dag A) L(g_jk).
 
     ``action`` is called once per element, in order; each image must be d x d (ValueError naming
-    the element) and is written into one stack. Column r is vec(L(E_r)) for the unit matrix E_r.
+    the element) and is copied into one stack as it arrives, since an action may hand back one
+    buffer it reuses. Column r is vec(L(E_r)) for the unit matrix E_r.
     The expansion assumes an orthogonal basis; it reads no basis sum, so none is checked.
     The conjugated stack g^* is taken on every call, not kept on the basis: kept, it would
     hold 16 d^4 more bytes per basis for as long as the basis lives, against a few
@@ -286,7 +289,7 @@ def state_inversion_two(b: np.ndarray) -> np.ndarray:
     ys = gellmann_y_elements(d)
     s = sandwich_sum(ys, ys)
     inner = apply_superop(s, _as_two_party(b.conj(), d), _party_axes(2))
-    return _two_sided(s, inner, _party_axes(1), 4 / d**2)
+    return np.multiply(apply_superop(s, inner, _party_axes(1)), 4 / d**2, order="C").reshape(n, n)
 
 
 def concurrence_squared(psi: np.ndarray) -> float:

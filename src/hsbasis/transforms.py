@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import _NOT_ORTHOGONAL, BasisSplit, MatrixBasis, check_dim, require_orthogonal
+from .bases import _NOT_ORTHOGONAL, BasisSplit, MatrixBasis, _hold, check_dim, require_orthogonal
 from .linalg import _frozen, hs_gram, tolerance
 
 __all__ = [
@@ -43,22 +43,26 @@ class BasisChange:
 
     def __post_init__(self) -> None:
         d = check_dim(self.d)
-        object.__setattr__(self, "d", d)
         what = f"coefficient matrix for d={d}"
-        object.__setattr__(self, "coeffs", _frozen(self.coeffs, (d * d, d * d), what))
+        _hold(self, d=d, coeffs=_frozen(self.coeffs, (d * d, d * d), what))
 
 
 @dataclass(frozen=True, eq=False)
 class BlockStructure:
-    """Diagonal and off-diagonal blocks of a standard-basis transformation."""
+    """Diagonal and off-diagonal blocks of a standard-basis transformation; d is read off the
+    diagonal block and checked as every record checks its d."""
 
     diagonal: np.ndarray  # (d, d)
     offdiagonal: np.ndarray  # (d(d-1), d(d-1))
 
     def __post_init__(self) -> None:
-        d = len(np.atleast_1d(self.diagonal))
-        for name, n in (("diagonal", d), ("offdiagonal", d * (d - 1))):
-            object.__setattr__(self, name, _frozen(getattr(self, name), (n, n), f"{name} block"))
+        d = check_dim(len(np.atleast_1d(self.diagonal)))
+        n = d * (d - 1)
+        _hold(
+            self,
+            diagonal=_frozen(self.diagonal, (d, d), "diagonal block"),
+            offdiagonal=_frozen(self.offdiagonal, (n, n), "offdiagonal block"),
+        )
 
 
 def change_of_basis(target: MatrixBasis, source: MatrixBasis) -> BasisChange:

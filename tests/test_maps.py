@@ -365,6 +365,36 @@ class TestSuperoperators:
         assert len(seen) == d * d
         assert np.array_equal(np.stack(seen), basis.elements)
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_an_action_reusing_one_buffer_gives_the_fresh_array_superoperator(self, d, dtype):
+        # each image is copied as it arrives, since an action may write every image into one buffer
+        rng = np.random.default_rng(70 + d)
+        basis = random_basis(d, 75 + d)
+        images = [oracles.random_matrix(d, rng) for _ in range(d * d)]
+        images = [m if dtype is complex else m.real.copy() for m in images]
+        buffer, arriving, fresh = np.empty((d, d), dtype=dtype), iter(images), iter(images)
+
+        def reused(g):
+            buffer[...] = next(arriving)
+            return buffer
+
+        got = superop_from_action(reused, basis).matrix
+        assert got.tobytes() == superop_from_action(lambda g: next(fresh).copy(), basis).matrix.tobytes()
+        shown = iter(images)
+        assert got.tobytes() == oracles.superop_from_action_divided(lambda g: next(shown), basis).tobytes()
+
+    @pytest.mark.parametrize("form", ["list", "float", "int", "complex64"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_images_of_any_numeric_form_give_the_complex_image_matrix(self, d, form):
+        rng = np.random.default_rng(80 + d)
+        basis = random_basis(d, 85 + d)
+        real = rng.integers(-9, 10, (d * d, d, d)) if form == "int" else rng.standard_normal((d * d, d, d))
+        images = {"list": real.tolist(), "float": real, "int": real, "complex64": real.astype(np.complex64)}[form]
+        forms, complexes = iter(images), iter(np.asarray(images, dtype=complex))
+        got = superop_from_action(lambda g: next(forms), basis).matrix
+        assert got.tobytes() == superop_from_action(lambda g: next(complexes), basis).matrix.tobytes()
+
 
 class TestChoi:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -748,3 +778,20 @@ class TestNonOrthogonalBasisRefused:
         # neither reads a sum, so neither checks one
         assert superop_from_action(lambda g: g, skewed).matrix.shape == (d * d, d * d)
         assert bloch_decompose(a, skewed).coeffs.shape == (d * d,)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_every_map_checks_its_operand_and_party_before_the_basis(self, d):
+        skewed = MatrixBasis(d, weyl_basis(d).elements * np.linspace(1, 2, d * d)[:, None, None])
+        one, two = np.eye(d + 1), np.eye(d * d + 1)
+        for call in (trace_map, transpose_map, identity_map, state_inversion):
+            with pytest.raises(ValueError, match=rf"^operator must be {d}x{d}, got \({d + 1}, {d + 1}\)$"):
+                call(one, skewed)
+        calls = [lambda b: partial_transpose_map(b, 1, skewed), lambda b: partial_transpose_map(b, 2, skewed)]
+        calls += [lambda b: partial_transpose_map(b, 0, skewed), lambda b: reshuffle_map(b, skewed)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^two-party operator for local dimension {d} must be"):
+                call(two)
+        for party in (0, 3, "2", None):
+            with pytest.raises(ValueError, match=r"^party must be 1 or 2, got"):
+                partial_transpose_map(np.eye(d * d), party, skewed)
+        assert "swap_sum" not in vars(skewed)  # no refused call built it

@@ -158,6 +158,12 @@ def test_records_check_d_before_the_shape(name, d):
         getattr(hsbasis, name)(d, *args[1:])
 
 
+@pytest.mark.parametrize("diagonal, d", [(np.eye(1), 1), (np.zeros((0, 0)), 0), (np.ones(()), 1)])
+def test_block_structure_reads_d_off_its_diagonal_block_and_checks_it(diagonal, d):
+    with pytest.raises(ValueError, match=rf"^dimension must be an integer of at least 2, got {d}$"):
+        hsbasis.BlockStructure(diagonal, np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("d", [np.int64(2), np.int32(2), np.uint8(2)])
 @pytest.mark.parametrize("name", [name for name in RECORDS if name != "BlockStructure"])
 def test_records_store_d_as_an_int(name, d):
